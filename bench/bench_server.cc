@@ -23,7 +23,6 @@
 //                    keep-alive connections on a fixed dispatch pool
 //                    while a closed-loop querier runs -> steady p50/p99
 //                    under the idle herd, and the open-connection gauge
-//                    (the threaded path would need a thread per conn)
 //
 // Writes the trajectory record BENCH_server.json next to the binary.
 //
@@ -349,7 +348,6 @@ ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
   shard_server_options.port = 0;
   shard_server_options.loopback_only = true;
   shard_server_options.num_connection_threads = 4;
-  shard_server_options.idle_poll_seconds = 0.1;
 
   std::vector<std::unique_ptr<ShardNode>> nodes;
   std::vector<cluster::ShardSpec> specs;
@@ -362,7 +360,7 @@ ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
     node->service =
         std::make_unique<query::QueryService>(&node->store, service_options);
     node->server = std::make_unique<server::ScubedServer>(
-        node->service.get(), &node->store, shard_server_options);
+        node->service.get(), shard_server_options);
     Status started = node->server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "shard %zu start: %s\n", i,
@@ -553,10 +551,9 @@ IdleConnResult RunIdleConnPhase(cube::SegregationCube cube, size_t target,
   server::ServerOptions options;
   options.port = 0;
   options.loopback_only = true;
-  options.frontend = server::Frontend::kReactor;
   options.num_connection_threads = workers;  // fixed pool — the claim
   options.idle_timeout_seconds = 600;        // the herd must outlive the run
-  server::ScubedServer server(&service, &store, options);
+  server::ScubedServer server(&service, options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "idle-conn server start: %s\n",
@@ -688,11 +685,10 @@ int main(int argc, char** argv) {
   server::ServerOptions server_options;
   server_options.port = 0;  // ephemeral
   server_options.loopback_only = true;
-  // Connection capacity must exceed worker + queue capacity, so that
-  // query-level admission (not the connection pool) is what saturates.
+  // Dispatch capacity must exceed worker + queue capacity, so that
+  // query-level admission (not the dispatch pool) is what saturates.
   server_options.num_connection_threads = clients * 16;
-  server_options.max_queued_connections = clients * 16;
-  server::ScubedServer server(&service, &store, server_options);
+  server::ScubedServer server(&service, server_options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
@@ -806,8 +802,7 @@ int main(int argc, char** argv) {
   server::ServerOptions wide_server_options;
   wide_server_options.port = 0;
   wide_server_options.loopback_only = true;
-  server::ScubedServer wide_server(&wide_service, &wide_store,
-                                   wide_server_options);
+  server::ScubedServer wide_server(&wide_service, wide_server_options);
   started = wide_server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());

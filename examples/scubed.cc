@@ -14,12 +14,10 @@
 //   --deadline-ms D   default per-query deadline, 0 = unbounded
 //                     (default 1000)
 //   --cache N         result-cache entries (default 512)
-//   --conns N         connection handler threads (default 8; under
-//                     --frontend=reactor this is the dispatch pool size)
-//   --frontend F      connection front-end: threads (default) or reactor.
-//                     The reactor drives every socket from one epoll event
-//                     loop, so 10k+ mostly-idle keep-alive connections
-//                     cost fds, not threads; responses are byte-identical
+//   --conns N         dispatch pool size: threads running the route
+//                     handlers (default 8). One epoll event loop drives
+//                     every socket, so 10k+ mostly-idle keep-alive
+//                     connections cost fds, not threads
 //   --idle-timeout-ms D
 //                     close keep-alive connections idle for D ms (default
 //                     0 = derive from the idle-poll budget, 60 s)
@@ -219,17 +217,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--conns") == 0) {
       server_options.num_connection_threads =
           static_cast<size_t>(std::atol(next("--conns")));
-    } else if (std::strcmp(argv[i], "--frontend") == 0) {
-      const char* frontend = next("--frontend");
-      if (std::strcmp(frontend, "threads") == 0) {
-        server_options.frontend = server::Frontend::kThreads;
-      } else if (std::strcmp(frontend, "reactor") == 0) {
-        server_options.frontend = server::Frontend::kReactor;
-      } else {
-        std::fprintf(stderr, "--frontend must be threads or reactor, got %s\n",
-                     frontend);
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0) {
       server_options.idle_timeout_seconds =
           std::atof(next("--idle-timeout-ms")) / 1000.0;
@@ -302,12 +289,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("scubed router listening on port %u (%zu shards, default "
-                "deadline %.0f ms, %s front-end)\n",
+                "deadline %.0f ms)\n",
                 server.port(), scatter.num_shards(),
-                scatter_options.default_deadline_ms,
-                server_options.frontend == server::Frontend::kReactor
-                    ? "reactor"
-                    : "threaded");
+                scatter_options.default_deadline_ms);
     std::printf("  curl localhost:%u/cubes\n", server.port());
     std::printf("  curl -X POST localhost:%u/query --data 'TOPK 5 BY "
                 "dissimilarity WHERE T >= 30'\n", server.port());
@@ -324,20 +308,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  server::ScubedServer server(&service, &store, server_options);
+  server::ScubedServer server(&service, server_options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
     return 1;
   }
   std::printf("scubed listening on port %u (%zu workers, queue bound %zu, "
-              "default deadline %.0f ms, %s front-end)\n",
+              "default deadline %.0f ms)\n",
               server.port(), service.options().num_workers,
               service.options().max_pending,
-              service.options().default_deadline_ms,
-              server_options.frontend == server::Frontend::kReactor
-                  ? "reactor"
-                  : "threaded");
+              service.options().default_deadline_ms);
   if (shard.count > 1) {
     std::printf("  serving shard %zu of %zu (%s partitioning)\n", shard.index,
                 shard.count,

@@ -31,12 +31,6 @@ bool IsToken(std::string_view s) {
 
 Status BufferedReader::Fill() {
   if (eof_) return Status::OK();
-  // The total-time cap, checked before every receive: a peer trickling
-  // one byte per receive-timeout window keeps each recv "successful" but
-  // cannot push the wall clock back.
-  if (deadline_ && std::chrono::steady_clock::now() >= *deadline_) {
-    return Status::DeadlineExceeded("request read deadline exceeded");
-  }
   // Compact the consumed prefix before growing the buffer.
   if (pos_ > 0) {
     buf_.erase(0, pos_);
@@ -104,18 +98,6 @@ bool BufferedReader::AtEof() {
     if (!Fill().ok()) return true;
   }
   return pos_ >= buf_.size() && eof_;
-}
-
-Result<std::string_view> BufferedReader::PeekSome() {
-  while (pos_ >= buf_.size()) {
-    if (eof_) return std::string_view();
-    SCUBE_RETURN_IF_ERROR(Fill());
-  }
-  return std::string_view(buf_).substr(pos_);
-}
-
-void BufferedReader::Advance(size_t n) {
-  pos_ += std::min(n, buf_.size() - pos_);
 }
 
 const std::string& HttpRequest::Header(const std::string& lower_name) const {
@@ -350,32 +332,6 @@ void HttpRequestParser::FinishHeaders() {
     return;
   }
   state_ = State::kDone;
-}
-
-Result<HttpRequest> ReadHttpRequest(BufferedReader* reader,
-                                    const std::string& request_line,
-                                    size_t max_body) {
-  HttpRequestParser parser(max_body);
-  // The request line arrived pre-stripped (the dialect sniff consumed it);
-  // hand it to the parser with its terminator restored.
-  parser.Feed(request_line);
-  parser.Feed("\n");
-  while (!parser.done() && !parser.failed()) {
-    auto chunk = reader->PeekSome();
-    if (!chunk.ok()) return chunk.status();
-    if (chunk->empty()) {
-      if (parser.in_body()) {
-        return Status::IoError(
-            "connection closed mid-body (" +
-            std::to_string(parser.body_received()) + " of " +
-            std::to_string(parser.body_expected()) + " bytes)");
-      }
-      return Status::IoError("connection closed");
-    }
-    reader->Advance(parser.Feed(*chunk));
-  }
-  if (parser.failed()) return parser.status();
-  return std::move(parser.request());
 }
 
 std::string SerializeResponseHead(const HttpResponse& response,

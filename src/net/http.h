@@ -1,14 +1,16 @@
-// Minimal HTTP/1.1 for the scubed front-end: blocking request/response
-// parsing over a buffered socket reader, keep-alive handling, target
-// (path + query-parameter) decoding, and chunked transfer encoding on the
-// *response* side (ChunkedWriter for streamed answers; the client reader
-// decodes chunked bodies). Deliberately small: no chunked request bodies
+// Minimal HTTP/1.1 for scubed. Server side: an incremental request parser
+// (HttpRequestParser) that the reactor feeds from non-blocking sockets,
+// keep-alive handling, target (path + query-parameter) decoding, and
+// chunked transfer encoding on the response side (ChunkedWriter for
+// streamed answers). Client side: blocking response reading over a
+// buffered socket reader (benches, tests, the shard client), which also
+// decodes chunked bodies. Deliberately small: no chunked request bodies
 // (411 when a request body has no Content-Length), no TLS, no multipart —
 // scubed speaks plain HTTP to load balancers, curl and the bench/test
 // clients in this repo.
 //
-// The same BufferedReader drives the newline-delimited line protocol:
-// SniffsAsHttp() looks at the first line to pick the dialect.
+// SniffsAsHttp() looks at a connection's first line to pick between HTTP
+// and the newline-delimited line protocol.
 
 #ifndef SCUBE_NET_HTTP_H_
 #define SCUBE_NET_HTTP_H_
@@ -18,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,7 +32,8 @@
 namespace scube {
 namespace net {
 
-/// \brief Buffered line/byte reader over a blocking socket.
+/// \brief Buffered line/byte reader over a blocking socket (the client
+/// side: response reading in benches, tests and the shard client).
 class BufferedReader {
  public:
   explicit BufferedReader(Socket* socket) : socket_(socket) {}
@@ -51,22 +53,6 @@ class BufferedReader {
   /// True once the peer closed and the buffer is drained (peeks one byte).
   bool AtEof();
 
-  /// Returns the buffered-but-unconsumed bytes, reading from the socket
-  /// once when none are buffered. An empty view means orderly EOF.
-  Result<std::string_view> PeekSome();
-
-  /// Discards `n` bytes previously returned by PeekSome.
-  void Advance(size_t n);
-
-  /// Caps the total wall time of all subsequent reads: once `deadline`
-  /// passes, reads fail with DeadlineExceeded even if the peer keeps
-  /// trickling bytes. This is the slow-loris bound — a per-read
-  /// SetRecvTimeout alone is defeated by one byte per timeout window.
-  void set_deadline(std::chrono::steady_clock::time_point deadline) {
-    deadline_ = deadline;
-  }
-  void clear_deadline() { deadline_.reset(); }
-
  private:
   Status Fill();  ///< one recv into the buffer
 
@@ -74,7 +60,6 @@ class BufferedReader {
   std::string buf_;
   size_t pos_ = 0;
   bool eof_ = false;
-  std::optional<std::chrono::steady_clock::time_point> deadline_;
 };
 
 /// \brief One parsed HTTP/1.1 request.
@@ -88,9 +73,9 @@ struct HttpRequest {
   bool keep_alive = true;  ///< HTTP/1.1 default unless "Connection: close"
 
   /// Wall-clock bounds of reading this request off the socket (first
-  /// byte to parse complete), stamped by the connection front-end so
-  /// handlers can record a retroactive "conn.read" trace span. Both at
-  /// the epoch when the front-end does not track read time.
+  /// byte to parse complete), stamped by the reactor so handlers can
+  /// record a retroactive "conn.read" trace span. Both stay at the epoch
+  /// for requests built outside the reactor (tests, benches).
   std::chrono::steady_clock::time_point read_start{};
   std::chrono::steady_clock::time_point read_end{};
 
@@ -128,9 +113,8 @@ bool SniffsAsHttp(std::string_view first_line);
 /// \brief Incremental HTTP/1.1 request parser: feed it bytes as they
 /// arrive off a non-blocking socket (partial lines, split headers, body
 /// fragments) and it consumes exactly one message, stopping at the
-/// boundary so pipelined follow-up bytes stay with the caller. Same
-/// grammar, limits and error messages as the blocking ReadHttpRequest —
-/// which is built on it, so the two paths cannot drift.
+/// boundary so pipelined follow-up bytes stay with the caller. Limits:
+/// `max_body` bytes of body, 128 header lines.
 class HttpRequestParser {
  public:
   explicit HttpRequestParser(size_t max_body = 4 * 1024 * 1024);
@@ -143,12 +127,6 @@ class HttpRequestParser {
   bool done() const { return state_ == State::kDone; }
   bool failed() const { return state_ == State::kError; }
   const Status& status() const { return status_; }
-
-  /// True while reading the body — the "READ_BODY" connection state, and
-  /// the EOF-mid-body diagnostic (body_received / body_expected).
-  bool in_body() const { return state_ == State::kBody; }
-  size_t body_received() const { return request_.body.size(); }
-  size_t body_expected() const { return body_expected_; }
 
   /// The parsed request; valid once done().
   HttpRequest& request() { return request_; }
@@ -171,12 +149,6 @@ class HttpRequestParser {
   size_t header_count_ = 0;
   size_t body_expected_ = 0;
 };
-
-/// Parses the request whose request line was already consumed, reading
-/// headers and body from `reader`. Limits: `max_body` bytes (413 beyond).
-Result<HttpRequest> ReadHttpRequest(BufferedReader* reader,
-                                    const std::string& request_line,
-                                    size_t max_body = 4 * 1024 * 1024);
 
 /// Serialises a response with Content-Length and Connection headers.
 std::string SerializeResponse(const HttpResponse& response, bool keep_alive);

@@ -42,7 +42,7 @@ Result<size_t> Socket::Read(char* buf, size_t n) {
     if (got >= 0) return static_cast<size_t>(got);
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Distinguishable from hard I/O errors: the server's idle poll tick.
+      // The SO_RCVTIMEO expiry, distinguishable from hard I/O errors.
       return Status::DeadlineExceeded("receive timed out");
     }
     return Status::IoError(Errno("recv"));
@@ -222,16 +222,6 @@ Result<ListenSocket> ListenSocket::Bind(uint16_t port, bool loopback_only,
   return out;
 }
 
-Result<Socket> ListenSocket::Accept() {
-  if (!valid()) return Status::IoError("accept on closed listener");
-  while (true) {
-    int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
-    if (errno == EINTR) continue;
-    return Status::IoError(Errno("accept"));
-  }
-}
-
 IoOutcome ListenSocket::TryAccept(Socket* out, Status* error) {
   if (!valid()) {
     *error = Status::IoError("accept on closed listener");
@@ -257,15 +247,6 @@ IoOutcome ListenSocket::TryAccept(Socket* out, Status* error) {
 
 Status ListenSocket::SetNonBlocking(bool enabled) {
   return SetFdNonBlocking(fd_, enabled, "nonblocking");
-}
-
-void ListenSocket::ShutdownAccept() {
-  if (fd_ >= 0) {
-    // shutdown() wakes a concurrent blocking accept() (Linux returns
-    // EINVAL from it); close() alone does not reliably — and closing here
-    // would free the fd number for reuse while accept() still holds it.
-    ::shutdown(fd_, SHUT_RDWR);
-  }
 }
 
 void ListenSocket::Close() {

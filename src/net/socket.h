@@ -2,11 +2,10 @@
 //
 // Thin RAII wrappers over POSIX sockets: a connected Socket (read/write),
 // a ListenSocket (bind/listen/accept, port 0 = kernel-assigned), and a
-// loopback Connect() for clients, benches and tests. The default calls
-// are blocking — the threaded front-end's concurrency lives in its thread
-// pool — with optional receive timeouts so a stuck peer cannot pin a
-// connection thread forever. The reactor front-end instead switches fds
-// into non-blocking mode (SetNonBlocking) and drives them through the
+// loopback Connect() for clients, benches and tests. The client calls
+// are blocking, with optional receive timeouts so a stuck peer cannot
+// pin a caller forever. The server side (the reactor) switches fds into
+// non-blocking mode (SetNonBlocking) and drives them through the
 // single-attempt ReadNonBlocking / WriteNonBlocking / TryAccept calls,
 // whose IoResult distinguishes would-block from EOF and hard errors.
 
@@ -54,8 +53,8 @@ class Socket {
   int fd() const { return fd_; }
 
   /// Reads up to `n` bytes; 0 = orderly peer shutdown. Retries EINTR.
-  /// DeadlineExceeded on a receive timeout (the server's idle poll tick
-  /// branches on this code), IoError on any other failure.
+  /// DeadlineExceeded on a receive timeout (SetRecvTimeout), IoError on
+  /// any other failure.
   Result<size_t> Read(char* buf, size_t n);
 
   /// Writes all of `data`, retrying partial writes and EINTR.
@@ -107,27 +106,15 @@ class ListenSocket {
   /// The bound port (the kernel-assigned one when Bind got 0).
   uint16_t port() const { return port_; }
 
-  /// Blocks until a connection arrives; IoError once ShutdownAccept()
-  /// (or Close()) has been called.
-  Result<Socket> Accept();
-
-  /// One accept attempt for an event loop (put the listener in
-  /// non-blocking mode first). kReady moves the connection into `*out`;
-  /// kWouldBlock means nothing is pending; kError fills `*error`.
+  /// One accept attempt. kReady moves the connection into `*out`;
+  /// kError fills `*error`. On a non-blocking listener (the event loop's)
+  /// kWouldBlock means nothing is pending; a blocking one waits.
   IoOutcome TryAccept(Socket* out, Status* error);
 
   /// Switches the listening fd between blocking and non-blocking mode.
   Status SetNonBlocking(bool enabled);
 
-  /// Wakes any blocked Accept() without closing the fd. Safe to call
-  /// from a thread other than the acceptor while Accept() is in flight —
-  /// the fd stays allocated (no reuse hazard) until Close() runs after
-  /// the acceptor thread is joined. Idempotent.
-  void ShutdownAccept();
-
-  /// Closes the fd. NOT safe concurrently with a blocked Accept(): call
-  /// ShutdownAccept() first, join the acceptor, then Close(). Idempotent
-  /// (also runs on destruction).
+  /// Closes the fd. Idempotent (also runs on destruction).
   void Close();
 
  private:

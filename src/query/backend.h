@@ -95,7 +95,7 @@ struct CubeInfo {
 
 /// \brief Anything that answers SCubeQL statements for the HTTP surface.
 /// Implementations must be thread-safe: the server calls concurrently
-/// from every connection handler thread.
+/// from every dispatch thread.
 class QueryBackend {
  public:
   virtual ~QueryBackend() = default;

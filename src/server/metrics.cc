@@ -163,7 +163,7 @@ std::string RenderPrometheus(const ServerMetrics& metrics,
           "TCP connections accepted");
   Counter(&out, "scubed_connections_shed_total",
           metrics.connections_shed.load(std::memory_order_relaxed),
-          "Connections refused because the connection queue was full");
+          "Connections refused because the open-connection cap was reached");
   Counter(&out, "scubed_connections_closed_total",
           metrics.connections_closed.load(std::memory_order_relaxed),
           "TCP connections closed (any reason)");
@@ -180,7 +180,7 @@ std::string RenderPrometheus(const ServerMetrics& metrics,
           "(slow-loris defence)");
   Counter(&out, "scubed_reactor_loops_total",
           metrics.reactor_loops.load(std::memory_order_relaxed),
-          "Reactor event-loop iterations (0 under --frontend=threads)");
+          "Reactor event-loop iterations");
   Counter(&out, "scubed_http_requests_total",
           metrics.http_requests.load(std::memory_order_relaxed),
           "HTTP requests handled");

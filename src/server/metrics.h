@@ -47,15 +47,17 @@ Route ClassifyRoute(const net::HttpRequest& request);
 /// \brief Lock-free serving counters. One instance per ScubedServer.
 struct ServerMetrics {
   std::atomic<uint64_t> connections{0};       ///< accepted TCP connections
-  std::atomic<uint64_t> connections_shed{0};  ///< refused: conn queue full
+  /// Refused with an immediate 503: the open-connection cap
+  /// (ServerOptions::max_connections) was reached.
+  std::atomic<uint64_t> connections_shed{0};
   std::atomic<uint64_t> connections_closed{0};  ///< closed (any reason)
   std::atomic<uint64_t> http_requests{0};     ///< HTTP requests handled
   std::atomic<uint64_t> http_errors{0};       ///< 4xx/5xx responses
   std::atomic<uint64_t> line_requests{0};     ///< line-protocol queries
 
-  /// Currently open connections (accepted minus closed/shed) — THE gauge
-  /// the reactor front-end exists to move: it may sit at 10k+ while the
-  /// worker thread count stays fixed.
+  /// Currently open connections (accepted minus closed/shed) — the gauge
+  /// the reactor exists to move: it may sit at 10k+ while the dispatch
+  /// thread count stays fixed.
   std::atomic<int64_t> open_connections{0};
 
   /// Connections dropped by the keep-alive idle timeout (no request
@@ -64,11 +66,10 @@ struct ServerMetrics {
 
   /// Connections dropped by the header-read deadline: a peer that began
   /// a request but did not complete it within the total read cap
-  /// (slow-loris defence, both front-ends).
+  /// (slow-loris defence; HTTP peers get a 408 first).
   std::atomic<uint64_t> header_deadline_closes{0};
 
-  /// Reactor event-loop iterations (epoll_wait returns). Zero under the
-  /// threaded front-end.
+  /// Reactor event-loop iterations (epoll_wait returns).
   std::atomic<uint64_t> reactor_loops{0};
 
   // Streaming read path (POST /query?stream=1).

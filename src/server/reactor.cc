@@ -23,6 +23,11 @@ using Clock = std::chrono::steady_clock;
 constexpr uint64_t kListenerTag = 0;
 constexpr uint64_t kWakeTag = 1;
 
+/// Outbox watermark: a streaming handler blocks once this many unwritten
+/// response bytes queue up, keeping per-connection memory O(watermark)
+/// for arbitrarily large streamed answers.
+constexpr size_t kMaxOutboxBytes = 256 * 1024;
+
 /// Bound on the inbox while hunting for the first complete line of a
 /// request (dialect sniff / request line / line-protocol line) — the same
 /// 64 KiB the blocking BufferedReader::ReadLine enforces.
@@ -78,10 +83,15 @@ struct Reactor::Conn {
 };
 
 Reactor::Reactor(RouterContext router, ServerMetrics* metrics,
-                 ReactorOptions options)
+                 const ServerOptions& options)
     : router_(router), metrics_(metrics), options_(options) {
-  options_.num_dispatch_threads =
-      std::max<size_t>(1, options_.num_dispatch_threads);
+  options_.num_connection_threads =
+      std::max<size_t>(1, options_.num_connection_threads);
+  if (options_.idle_timeout_seconds <= 0) {
+    options_.idle_timeout_seconds =
+        options_.idle_poll_seconds *
+        static_cast<double>(options_.max_idle_polls);
+  }
 }
 
 Reactor::~Reactor() { Stop(); }
@@ -126,8 +136,8 @@ Status Reactor::Start(net::ListenSocket listener) {
   stopping_.store(false, std::memory_order_release);
   stop_begun_ = false;
   workers_stop_ = false;
-  workers_.reserve(options_.num_dispatch_threads);
-  for (size_t i = 0; i < options_.num_dispatch_threads; ++i) {
+  workers_.reserve(options_.num_connection_threads);
+  for (size_t i = 0; i < options_.num_connection_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   loop_ = std::thread([this] { LoopThread(); });
@@ -313,7 +323,7 @@ void Reactor::OnReadable(const std::shared_ptr<Conn>& conn) {
         // runs from here to parse-complete.
         conn->reading_request = true;
         conn->read_start = Clock::now();
-        ArmTimer(conn, options_.header_read_seconds);
+        ArmTimer(conn, options_.request_read_seconds);
       }
       conn->inbox.append(buf, r.bytes);
       if (r.bytes < sizeof(buf)) break;  // kernel buffer drained
@@ -330,8 +340,7 @@ void Reactor::OnReadable(const std::shared_ptr<Conn>& conn) {
   if (conn->dead) return;
   ParseAvailable(conn);
   if (!conn->dead && conn->peer_eof && !conn->in_dispatch) {
-    // Nothing more will arrive, so a partial request can never complete
-    // (the threaded path's read error on the same bytes also closes).
+    // Nothing more will arrive, so a partial request can never complete.
     CloseConn(conn);
   }
 }
@@ -365,7 +374,7 @@ void Reactor::ParseAvailable(const std::shared_ptr<Conn>& conn) {
         return;
       }
       // HTTP: a blank line between keep-alive requests closes the
-      // connection (threaded front-end parity).
+      // connection.
       if (line.empty()) {
         CloseConn(conn);
         return;
@@ -420,8 +429,8 @@ void Reactor::BeginDispatch(const std::shared_ptr<Conn>& conn) {
 }
 
 void Reactor::RespondParseError(const std::shared_ptr<Conn>& conn) {
-  // Mirrors the threaded path byte-for-byte: 400 with the parser's
-  // message, counted as a request + error under route="other", then close.
+  // 400 with the parser's message, counted as a request + error under
+  // route="other", then close.
   metrics_->Inc(metrics_->http_requests);
   metrics_->Inc(metrics_->http_errors);
   WallTimer route_timer;
@@ -465,7 +474,7 @@ Reactor::FlushResult Reactor::FlushOutbox(const std::shared_ptr<Conn>& conn) {
   }
   const bool drained = conn->outbox.empty();
   const bool below_watermark =
-      conn->outbox.size() - conn->outbox_pos <= options_.max_outbox_bytes;
+      conn->outbox.size() - conn->outbox_pos <= kMaxOutboxBytes;
   // Notify off-lock: the blocked worker re-acquires mu in its wait loop.
   lock.Release();
   if (below_watermark) conn->drain_cv.SignalAll();
@@ -562,6 +571,14 @@ void Reactor::ProcessTimers() {
     std::shared_ptr<Conn> conn = it->second;
     if (conn->reading_request) {
       metrics_->Inc(metrics_->header_deadline_closes);
+      if (conn->dialect == Conn::Dialect::kHttp) {
+        // One write attempt, never a wait: the response is tiny and the
+        // connection closes either way.
+        const net::HttpResponse timed_out(
+            408, "{\"error\":\"request read timed out\"}\n");
+        conn->socket.WriteNonBlocking(
+            net::SerializeResponse(timed_out, /*keep_alive=*/false));
+      }
     } else {
       metrics_->Inc(metrics_->idle_timeout_closes);
     }
@@ -687,7 +704,7 @@ Status Reactor::EnqueueOutput(const std::shared_ptr<Conn>& conn,
   NotifyReady(conn->id);
   sync::MutexLock lock(&conn->mu);
   while (!conn->closed.load(std::memory_order_acquire) &&
-         conn->outbox.size() - conn->outbox_pos > options_.max_outbox_bytes) {
+         conn->outbox.size() - conn->outbox_pos > kMaxOutboxBytes) {
     conn->drain_cv.Wait(&conn->mu);
   }
   if (conn->closed.load(std::memory_order_acquire)) {

@@ -1,8 +1,7 @@
 // Reactor front-end: one epoll event loop driving every connection over
 // non-blocking sockets, so the open-connection ceiling is the fd limit —
-// not the thread count. Selected with --frontend=reactor; the classic
-// thread-per-connection path stays available (and byte-identical) under
-// --frontend=threads.
+// not the thread count. It is scubed's only connection path: ScubedServer
+// owns one and hands it the ServerOptions.
 //
 // Division of labour:
 //
@@ -21,8 +20,9 @@
 //   READ_HEAD → READ_BODY → DISPATCH → WRITE → (keep-alive reset) → …
 //
 // with a min-heap of lazy-deleted timers enforcing the header-read
-// deadline (first request byte → parse complete) and the keep-alive idle
-// timeout between requests. Stop() is graceful: the listener closes, idle
+// deadline (first request byte → parse complete; an HTTP connection gets
+// a 408 before the close) and the keep-alive idle timeout between
+// requests. Stop() is graceful: the listener closes, idle
 // connections drop immediately, in-flight responses drain (bounded by
 // drain_timeout_seconds), then the loop and pool join.
 
@@ -45,41 +45,18 @@
 #include "net/socket.h"
 #include "server/metrics.h"
 #include "server/router.h"
+#include "server/server.h"
 
 namespace scube {
 namespace server {
 
-/// \brief Reactor tuning (derived from ServerOptions by ScubedServer).
-struct ReactorOptions {
-  /// Handler threads running router dispatch (not query execution —
-  /// that happens in the QueryBackend's own worker pool).
-  size_t num_dispatch_threads = 8;
-
-  /// Keep-alive idle timeout: seconds without request bytes before the
-  /// connection closes.
-  double idle_timeout_seconds = 60.0;
-
-  /// Header-read deadline: first byte of a request to parse complete.
-  /// The slow-loris bound — a byte-at-a-time peer cannot evade it.
-  double header_read_seconds = 10.0;
-
-  /// Open-connection cap; accepts beyond it shed with an immediate 503.
-  size_t max_connections = 60000;
-
-  /// Outbox watermark: a streaming handler blocks once this many
-  /// unwritten response bytes queue up, keeping per-connection memory
-  /// O(watermark) for arbitrarily large streamed answers.
-  size_t max_outbox_bytes = 256 * 1024;
-
-  /// Stop(): seconds granted to in-flight responses before force-close.
-  double drain_timeout_seconds = 5.0;
-};
-
 /// \brief The epoll front-end. Construct, Start(listener), Stop().
 class Reactor {
  public:
+  /// Reads num_connection_threads (dispatch pool size), the idle and
+  /// header-read timeouts, max_connections and drain_timeout_seconds.
   Reactor(RouterContext router, ServerMetrics* metrics,
-          ReactorOptions options);
+          const ServerOptions& options);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -149,7 +126,7 @@ class Reactor {
 
   RouterContext router_;
   ServerMetrics* metrics_;
-  ReactorOptions options_;
+  ServerOptions options_;
 
   net::ListenSocket listener_;
   uint16_t port_ = 0;

@@ -34,7 +34,7 @@ void ObserveVerbs(const RouterContext& ctx,
 }
 
 /// Retroactive "conn.read" span: the request's socket-read window
-/// (request line to parse complete), stamped by the connection front-end.
+/// (first request byte to parse complete), stamped by the reactor.
 /// Unstamped requests (both time points at the epoch) record nothing.
 void MaybeRecordConnRead(trace::TraceContext* tc,
                          const net::HttpRequest& request) {
@@ -378,11 +378,10 @@ bool HandleQueryStream(const RouterContext& ctx,
     qctx.merge_keys = true;
   }
 
-  // "conn.write" wraps the raw connection write: on the threaded
-  // front-end that is the blocking socket write, on the reactor it is the
-  // outbox enqueue including any backpressure wait — either way, the time
-  // this response spent pushing bytes toward the peer (nests under
-  // wire.flush in the span tree).
+  // "conn.write" wraps the raw connection write — the reactor's outbox
+  // enqueue including any backpressure wait, i.e. the time this response
+  // spent pushing bytes toward the peer (nests under wire.flush in the
+  // span tree).
   net::ChunkedWriter::WriteFn traced_write = write;
   if (qctx.trace != nullptr) {
     trace::TraceContext* trace_ptr = qctx.trace;

@@ -1,41 +1,33 @@
 // ScubedServer: the network front-end over a QueryBackend (a local
 // QueryService, or a cluster::ScatterExecutor in router mode).
 //
-// One acceptor thread pushes connections onto a bounded queue consumed by
-// a fixed pool of connection threads (thread count and queue bound are the
-// connection-level admission control; query-level admission lives in
-// QueryService). Each connection thread sniffs the first line to pick a
+// Connections are driven by the epoll reactor (reactor.h): one event loop
+// owns every socket, and a fixed dispatch pool runs the router handlers
+// (router.h). The loop sniffs each connection's first line to pick a
 // dialect:
 //
 //   HTTP/1.1       keep-alive request loop (router.h routes)
 //   line protocol  one SCubeQL statement per line in, one JSON object
 //                  per line out — for scripted clients and netcat
 //
+// Open connections are capped by max_connections (connection-level
+// admission control); query-level admission lives in QueryService.
 // Stop() is graceful: the listener closes, idle keep-alive connections
-// drop at their next poll tick, in-flight requests finish, and the
-// underlying QueryService drains (it is not owned and stays usable).
+// drop, in-flight responses drain, and the underlying QueryService is
+// left usable (it is not owned).
 
 #ifndef SCUBE_SERVER_SERVER_H_
 #define SCUBE_SERVER_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <memory>
-#include <optional>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "common/status.h"
-#include "common/sync.h"
-#include "net/http.h"
-#include "net/socket.h"
+#include "query/backend.h"
 #include "query/cube_store.h"
 #include "query/service.h"
 #include "server/metrics.h"
-#include "server/router.h"
 #include "server/slow_query_log.h"
 
 namespace scube {
@@ -43,9 +35,10 @@ namespace server {
 
 class Reactor;
 
-/// Which connection front-end drives the sockets (--frontend flag).
+/// The connection front-end. The reactor is the only one; the enum stays
+/// so callers that name it explicitly (the perfbench harness) keep
+/// compiling.
 enum class Frontend {
-  kThreads,  ///< acceptor + bounded queue + thread-per-connection pool
   kReactor,  ///< one epoll event loop + dispatch pool (reactor.h)
 };
 
@@ -57,27 +50,19 @@ struct ServerOptions {
   /// Bind 127.0.0.1 only (benches, tests, local demos).
   bool loopback_only = false;
 
-  /// Connection handler threads. Each handles one connection at a time;
-  /// with keep-alive this is the concurrent-connection capacity.
+  /// Dispatch pool size: threads running router handlers for parsed
+  /// requests (query execution runs in the QueryBackend's own workers).
   size_t num_connection_threads = 8;
 
-  /// Accepted connections waiting for a handler beyond which new ones are
-  /// shed with an immediate 503 + close.
-  size_t max_queued_connections = 64;
-
-  /// Seconds a connection may sit idle between requests before the
-  /// handler polls for shutdown (and, when stopping, closes it). Also the
-  /// bound on Stop() latency for idle keep-alive connections.
+  /// With max_idle_polls, derives the default keep-alive idle timeout
+  /// (idle_poll_seconds * max_idle_polls) when idle_timeout_seconds is 0.
   double idle_poll_seconds = 0.5;
-
-  /// Idle poll ticks before an inactive connection is dropped
-  /// (idle timeout = idle_poll_seconds * max_idle_polls).
   size_t max_idle_polls = 120;
 
-  /// Receive-timeout bound while *inside* one request (headers/body after
-  /// the request line). Larger than the idle poll so a brief network
-  /// stall mid-request is not fatal; small enough that a stalled peer
-  /// cannot pin a handler thread indefinitely.
+  /// Header-read deadline: seconds from the first byte of a request to
+  /// parse complete. The slow-loris bound — a peer trickling a byte at a
+  /// time cannot extend it; on expiry the connection gets a 408 and
+  /// closes.
   double request_read_seconds = 10.0;
 
   /// Slow-query threshold in milliseconds (--slow-query-ms); requests
@@ -91,35 +76,26 @@ struct ServerOptions {
   /// Trace every request even without ?debug=trace (--trace flag).
   bool trace_all = false;
 
-  /// Connection front-end. Both serve every route byte-identically; the
-  /// reactor holds 10k+ mostly-idle keep-alive connections on a fixed
-  /// thread count where the threaded path needs a thread per connection.
-  Frontend frontend = Frontend::kThreads;
+  /// Connection front-end (only the reactor exists).
+  Frontend frontend = Frontend::kReactor;
 
   /// Keep-alive idle timeout in seconds (--idle-timeout-ms). 0 derives
-  /// it as idle_poll_seconds * max_idle_polls; both front-ends honour
-  /// the effective value.
+  /// it as idle_poll_seconds * max_idle_polls.
   double idle_timeout_seconds = 0;
 
-  /// Reactor only: open-connection cap beyond which accepts shed with an
-  /// immediate 503 (the threaded path's cap is its thread pool + queue).
+  /// Open-connection cap beyond which accepts shed with an immediate 503.
   size_t max_connections = 60000;
 
-  /// Reactor only: seconds Stop() grants in-flight responses to drain
-  /// before force-closing.
+  /// Seconds Stop() grants in-flight responses to drain before
+  /// force-closing.
   double drain_timeout_seconds = 5.0;
 };
 
-/// \brief The scubed serving front-end. Start() spawns threads; Stop()
-/// (or the destructor) shuts down gracefully.
+/// \brief The scubed serving front-end. Start() spawns the reactor's
+/// threads; Stop() (or the destructor) shuts down gracefully.
 class ScubedServer {
  public:
   ScubedServer(query::QueryBackend* backend, ServerOptions options = {});
-
-  /// Legacy signature; `store` is unused — /cubes and /healthz go through
-  /// QueryBackend::ListCubes now.
-  ScubedServer(query::QueryService* service, query::CubeStore* store,
-               ServerOptions options = {});
   ~ScubedServer();
 
   ScubedServer(const ScubedServer&) = delete;
@@ -135,47 +111,20 @@ class ScubedServer {
   /// The bound port (valid after Start()).
   uint16_t port() const;
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return running_; }
 
   const ServerMetrics& metrics() const { return metrics_; }
 
  private:
-  void AcceptLoop();
-  void ConnectionLoop();
-  void ServeConnection(net::Socket socket);
-  void ServeHttp(net::Socket* socket, net::BufferedReader* reader,
-                 std::string first_line);
-  void ServeLineProtocol(net::Socket* socket, net::BufferedReader* reader,
-                         std::string first_line);
-
-  /// ReadLine that tolerates idle-poll timeouts while running; returns
-  /// nullopt when the connection should close (EOF, error, shutdown,
-  /// or idle timeout).
-  std::optional<std::string> NextLine(net::BufferedReader* reader);
-
-  /// The keep-alive idle timeout both front-ends enforce (explicit
-  /// idle_timeout_seconds, or derived from the idle-poll tick budget).
-  double EffectiveIdleTimeout() const;
-
   query::QueryBackend* backend_;
   ServerOptions options_;
   ServerMetrics metrics_;
   SlowQueryLog slow_log_;  ///< initialised from options_: declare after it
-  RouterContext router_;
 
-  net::ListenSocket listener_;
-  std::atomic<bool> running_{false};
-  bool started_ = false;
-
-  /// Non-null iff frontend == kReactor (owns the event loop + dispatch
-  /// pool; kept after Stop() so port() stays readable).
+  /// Owns the event loop + dispatch pool; kept after Stop() so port()
+  /// stays readable.
   std::unique_ptr<Reactor> reactor_;
-
-  sync::Mutex conn_mu_;
-  sync::CondVar conn_cv_;
-  std::deque<net::Socket> pending_ GUARDED_BY(conn_mu_);
-  std::thread acceptor_;
-  std::vector<std::thread> handlers_;
+  bool running_ = false;
 };
 
 }  // namespace server

@@ -113,7 +113,6 @@ server::ServerOptions MakeServerOptions() {
   options.port = 0;  // ephemeral
   options.loopback_only = true;
   options.num_connection_threads = 4;
-  options.idle_poll_seconds = 0.1;  // fast Stop() in tests
   return options;
 }
 
@@ -127,7 +126,7 @@ struct ShardProcess {
     store.Publish("default", std::move(cube));
     service = std::make_unique<query::QueryService>(&store,
                                                     query::ServiceOptions{});
-    server = std::make_unique<server::ScubedServer>(service.get(), &store,
+    server = std::make_unique<server::ScubedServer>(service.get(),
                                                     MakeServerOptions());
     Status started = server->Start();
     EXPECT_TRUE(started.ok()) << started;

@@ -41,11 +41,11 @@ TEST(MutexTest, TryLockReportsContention) {
 TEST(MutexTest, GuardsACounterAcrossThreads) {
   Mutex mu;
   int counter GUARDED_BY(mu) = 0;
-  constexpr int kThreads = 8;
+  constexpr int kNumThreads = 8;
   constexpr int kIncrements = 1000;
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
+  threads.reserve(kNumThreads);
+  for (int t = 0; t < kNumThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kIncrements; ++i) {
         MutexLock lock(&mu);
@@ -55,7 +55,7 @@ TEST(MutexTest, GuardsACounterAcrossThreads) {
   }
   for (std::thread& t : threads) t.join();
   MutexLock lock(&mu);
-  EXPECT_EQ(counter, kThreads * kIncrements);
+  EXPECT_EQ(counter, kNumThreads * kIncrements);
 }
 
 TEST(MutexLockTest, ReleasesAtScopeExit) {

@@ -194,18 +194,18 @@ TEST(LatencyHistogramTest, QuantileInterpolatesAndClampsAtTheTop) {
 
 TEST(LatencyHistogramTest, ConcurrentObserveLosesNothing) {
   LatencyHistogram hist;
-  constexpr int kThreads = 4;
+  constexpr int kNumThreads = 4;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < kNumThreads; ++t) {
     threads.emplace_back([&hist] {
       for (int i = 0; i < kPerThread; ++i) hist.Observe(1.0);
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(hist.count(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(hist.sum_ms(), kThreads * kPerThread * 1.0);
+            static_cast<uint64_t>(kNumThreads) * kPerThread);
+  EXPECT_DOUBLE_EQ(hist.sum_ms(), kNumThreads * kPerThread * 1.0);
   uint64_t bucket_total = 0;
   for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
     bucket_total += hist.bucket(i);

@@ -27,16 +27,21 @@ struct Pair {
   }
 };
 
+/// Feeds one complete request message to a fresh parser; it must consume
+/// every byte and finish.
 HttpRequest MustParse(const std::string& raw) {
-  Pair pair;
-  EXPECT_TRUE(pair.feeder.WriteAll(raw).ok());
-  pair.feeder.Close();  // EOF so body reads terminate
-  BufferedReader reader(&pair.reader_socket);
-  auto line = reader.ReadLine();
-  EXPECT_TRUE(line.ok()) << line.status();
-  auto request = ReadHttpRequest(&reader, *line);
-  EXPECT_TRUE(request.ok()) << request.status();
-  return std::move(request).value();
+  HttpRequestParser parser;
+  EXPECT_EQ(parser.Feed(raw), raw.size());
+  EXPECT_TRUE(parser.done()) << parser.status();
+  return std::move(parser.request());
+}
+
+/// Feeds `raw` to a fresh parser, which must reject it; returns why.
+Status MustReject(const std::string& raw) {
+  HttpRequestParser parser;
+  parser.Feed(raw);
+  EXPECT_TRUE(parser.failed()) << raw;
+  return parser.status();
 }
 
 TEST(HttpSniffTest, SeparatesHttpFromLineProtocol) {
@@ -105,26 +110,10 @@ TEST(HttpRequestTest, ConnectionCloseAndHttp10Defaults) {
 }
 
 TEST(HttpRequestTest, RejectsMalformedAndOversized) {
-  Pair pair;
-  ASSERT_TRUE(pair.feeder.WriteAll("BROKEN\r\n\r\n").ok());
-  pair.feeder.Close();
-  BufferedReader reader(&pair.reader_socket);
-  auto line = reader.ReadLine();
-  ASSERT_TRUE(line.ok());
-  EXPECT_FALSE(ReadHttpRequest(&reader, *line).ok());
-
-  Pair big;
-  ASSERT_TRUE(big.feeder
-                  .WriteAll("POST /query HTTP/1.1\r\n"
-                            "Content-Length: 999999999\r\n\r\n")
-                  .ok());
-  big.feeder.Close();
-  BufferedReader big_reader(&big.reader_socket);
-  auto big_line = big_reader.ReadLine();
-  ASSERT_TRUE(big_line.ok());
-  auto status = ReadHttpRequest(&big_reader, *big_line);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(MustReject("BROKEN\r\n\r\n").ok());
+  const Status big = MustReject(
+      "POST /query HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n");
+  EXPECT_EQ(big.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HttpResponseTest, SerialisesWithLengthAndConnection) {
@@ -363,50 +352,45 @@ TEST(HttpRequestParserTest, StopsAtMessageEndForPipelining) {
   EXPECT_TRUE(parser.request().body.empty());
 }
 
-TEST(HttpRequestParserTest, TracksBodyProgress) {
+TEST(HttpRequestParserTest, AccumulatesABodySplitAcrossFeeds) {
   HttpRequestParser parser;
-  parser.Feed("POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n");
-  EXPECT_TRUE(parser.in_body());
-  EXPECT_EQ(parser.body_expected(), 10u);
-  parser.Feed("12345");
-  EXPECT_EQ(parser.body_received(), 5u);
+  const std::string head =
+      "POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n";
+  EXPECT_EQ(parser.Feed(head), head.size());
   EXPECT_FALSE(parser.done());
-  parser.Feed("67890");
+  EXPECT_EQ(parser.Feed("12345"), 5u);
+  EXPECT_FALSE(parser.done());
+  EXPECT_FALSE(parser.failed());
+  EXPECT_EQ(parser.Feed("67890"), 5u);
   EXPECT_TRUE(parser.done());
   EXPECT_EQ(parser.request().body, "1234567890");
 }
 
-TEST(HttpRequestParserTest, ErrorsMatchTheBlockingReaderMessages) {
-  // The incremental parser and ReadHttpRequest share one grammar; their
-  // rejections must carry the same status text so the two front-ends
-  // answer malformed requests with identical 400 bodies.
-  auto blocking_error = [](const std::string& wire) {
-    Pair pair;
-    EXPECT_TRUE(pair.feeder.WriteAll(wire).ok());
-    pair.feeder.Close();
-    BufferedReader reader(&pair.reader_socket);
-    auto line = reader.ReadLine();
-    EXPECT_TRUE(line.ok());
-    auto parsed = ReadHttpRequest(&reader, *line);
-    EXPECT_FALSE(parsed.ok());
-    return parsed.status();
+TEST(HttpRequestParserTest, ErrorsCarryTheExactMessages) {
+  // The parser's status message is the body of scubed's 400 response
+  // ({"error":"<message>"}), so each rejection's text is pinned here.
+  struct Case {
+    const char* wire;
+    StatusCode code;
+    const char* message;
   };
-  auto incremental_error = [](const std::string& wire) {
-    HttpRequestParser parser;
-    parser.Feed(wire);
-    EXPECT_TRUE(parser.failed());
-    return parser.status();
-  };
-  for (const char* wire :
-       {"BROKEN\r\n\r\n",
-        "GET / HTTP/9.9\r\n\r\n",
-        "POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
-        "POST /query HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n",
-        "GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"}) {
-    const Status blocking = blocking_error(wire);
-    const Status incremental = incremental_error(wire);
-    EXPECT_EQ(blocking.code(), incremental.code()) << wire;
-    EXPECT_EQ(blocking.message(), incremental.message()) << wire;
+  for (const Case& c : {
+           Case{"BROKEN\r\n\r\n", StatusCode::kParseError,
+                "malformed request line: BROKEN"},
+           Case{"GET / HTTP/9.9\r\n\r\n", StatusCode::kParseError,
+                "unsupported protocol: HTTP/9.9"},
+           Case{"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+                StatusCode::kParseError, "bad Content-Length: abc"},
+           Case{"POST /query HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n",
+                StatusCode::kInvalidArgument,
+                "request body of 999999999 bytes exceeds the limit of "
+                "4194304"},
+           Case{"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
+                StatusCode::kParseError, "malformed header: no-colon-here"},
+       }) {
+    const Status status = MustReject(c.wire);
+    EXPECT_EQ(status.code(), c.code) << c.wire;
+    EXPECT_EQ(status.message(), c.message) << c.wire;
   }
 }
 
@@ -428,11 +412,13 @@ TEST(ListenSocketTest, LoopbackConnectAndEcho) {
 
   auto client = Connect("127.0.0.1", listener->port());
   ASSERT_TRUE(client.ok()) << client.status();
-  auto served = listener->Accept();
-  ASSERT_TRUE(served.ok()) << served.status();
+  // The listener is still blocking, so TryAccept waits for the client.
+  Socket served;
+  Status error;
+  ASSERT_EQ(listener->TryAccept(&served, &error), IoOutcome::kReady) << error;
 
   ASSERT_TRUE(client->WriteAll("ping\n").ok());
-  BufferedReader reader(&*served);
+  BufferedReader reader(&served);
   EXPECT_EQ(reader.ReadLine().value(), "ping");
 }
 

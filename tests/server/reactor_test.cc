@@ -1,15 +1,20 @@
-// Reactor front-end tests: byte-identity with the threaded front-end
-// across every route (the two paths must be indistinguishable on the
-// wire), pipelined keep-alive, backpressure on a slow reader (the EAGAIN
-// path), and the connection guards — keep-alive idle timeout and the
-// header-read deadline (slow-loris defence) on BOTH front-ends.
+// Reactor front-end tests: byte-identity with golden responses across
+// every route, pipelined keep-alive, backpressure on a slow reader (the
+// EAGAIN path), and the connection guards — keep-alive idle timeout and
+// the header-read deadline (slow-loris defence, answered with a 408).
+//
+// The golden files under tests/server/golden/ are the masked, dechunked
+// responses of scubed's former thread-per-connection front-end to the
+// same requests, so they pin the wire bytes that front-end served.
 
 #include "server/reactor.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
 #include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,13 +83,11 @@ cube::SegregationCube MakeWideCube(size_t contexts) {
   return cube;
 }
 
-ServerOptions MakeServerOptions(Frontend frontend) {
+ServerOptions MakeServerOptions() {
   ServerOptions options;
   options.port = 0;
   options.loopback_only = true;
   options.num_connection_threads = 4;
-  options.idle_poll_seconds = 0.1;  // fast Stop() in tests
-  options.frontend = frontend;
   return options;
 }
 
@@ -130,6 +133,32 @@ std::string Dechunk(const std::string& raw) {
   return head + body;
 }
 
+/// The golden response `name` (bytes exactly as checked in).
+std::string ReadGolden(const std::string& name) {
+  const std::string path =
+      std::string(SCUBE_TEST_DATA_DIR) + "/server/golden/" + name;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    ADD_FAILURE() << "missing golden file " << path;
+    return "";
+  }
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Reads until the peer closes (or the socket errors).
+std::string ReadToEof(net::Socket* socket) {
+  std::string out;
+  char buf[4096];
+  while (true) {
+    auto n = socket->Read(buf, sizeof(buf));
+    if (!n.ok() || *n == 0) break;
+    out.append(buf, *n);
+  }
+  return out;
+}
+
 /// Sends raw request bytes and reads the connection to EOF.
 std::string RawExchange(uint16_t port, const std::string& request) {
   auto connected = net::Connect("127.0.0.1", port);
@@ -137,14 +166,7 @@ std::string RawExchange(uint16_t port, const std::string& request) {
   if (!connected.ok()) return "";
   net::Socket socket = std::move(connected).value();
   EXPECT_TRUE(socket.WriteAll(request).ok());
-  std::string out;
-  char buf[4096];
-  while (true) {
-    auto n = socket.Read(buf, sizeof(buf));
-    if (!n.ok() || *n == 0) break;
-    out.append(buf, *n);
-  }
-  return out;
+  return ReadToEof(&socket);
 }
 
 std::string Req(const std::string& method, const std::string& target,
@@ -158,90 +180,90 @@ std::string Req(const std::string& method, const std::string& target,
   return r;
 }
 
-/// Both front-ends over the SAME store and service, so any response
-/// difference is the front-end's fault, not the data's.
-struct DualFixture {
+/// One reactor server whose masked, dechunked responses must equal the
+/// golden files byte for byte.
+struct GoldenFixture {
   query::CubeStore store;
   query::QueryService service;
-  ScubedServer threaded;
-  ScubedServer reactor;
+  ScubedServer server;
 
-  DualFixture()
-      : service(&store, {}),
-        threaded(&service, &store, MakeServerOptions(Frontend::kThreads)),
-        reactor(&service, &store, MakeServerOptions(Frontend::kReactor)) {
+  GoldenFixture()
+      : service(&store, {}), server(&service, MakeServerOptions()) {
     store.Publish("default", MakeCube(0.2));
-    Status t = threaded.Start();
-    EXPECT_TRUE(t.ok()) << t;
-    Status r = reactor.Start();
-    EXPECT_TRUE(r.ok()) << r;
+    Status started = server.Start();
+    EXPECT_TRUE(started.ok()) << started;
   }
 
-  /// Runs the identical raw request against both front-ends and expects
-  /// masked byte-identity; returns the reactor's raw response.
-  std::string ExpectIdentical(const std::string& request) {
-    const std::string via_threads = RawExchange(threaded.port(), request);
-    const std::string via_reactor = RawExchange(reactor.port(), request);
-    EXPECT_EQ(Mask(Dechunk(via_threads)), Mask(Dechunk(via_reactor)))
-        << request;
-    return via_reactor;
+  /// Sends `request`, expects the masked response to equal golden file
+  /// `name`, and returns the raw response.
+  std::string ExpectGolden(const std::string& name,
+                           const std::string& request) {
+    const std::string raw = RawExchange(server.port(), request);
+    EXPECT_EQ(ReadGolden(name), Mask(Dechunk(raw))) << request;
+    return raw;
   }
 };
 
-TEST(ReactorParityTest, BufferedRoutesAreByteIdentical) {
-  DualFixture fx;
-  EXPECT_NE(fx.ExpectIdentical(Req("GET", "/healthz")).find("200 OK"),
+TEST(ReactorParityTest, BufferedRoutesMatchTheGoldenBytes) {
+  GoldenFixture fx;
+  EXPECT_NE(fx.ExpectGolden("healthz.http", Req("GET", "/healthz"))
+                .find("200 OK"),
             std::string::npos);
-  fx.ExpectIdentical(Req("GET", "/cubes"));
-  fx.ExpectIdentical(Req("POST", "/query", "SLICE sa=sex=F"));
-  fx.ExpectIdentical(Req("POST", "/query?format=csv", "SLICE sa=sex=F"));
-  fx.ExpectIdentical(Req("GET", "/no/such/route"));
-  fx.ExpectIdentical(Req("POST", "/query", ""));  // 400: empty body
+  fx.ExpectGolden("cubes.http", Req("GET", "/cubes"));
+  fx.ExpectGolden("query_json.http", Req("POST", "/query", "SLICE sa=sex=F"));
+  fx.ExpectGolden("query_csv.http",
+                  Req("POST", "/query?format=csv", "SLICE sa=sex=F"));
+  fx.ExpectGolden("not_found.http", Req("GET", "/no/such/route"));
+  fx.ExpectGolden("empty_body_400.http", Req("POST", "/query", ""));
 }
 
-TEST(ReactorParityTest, HeadStripsTheBodyOnBothFrontEnds) {
-  DualFixture fx;
-  const std::string raw = fx.ExpectIdentical(Req("HEAD", "/healthz"));
+TEST(ReactorParityTest, HeadStripsTheBody) {
+  GoldenFixture fx;
+  const std::string raw =
+      fx.ExpectGolden("head_healthz.http", Req("HEAD", "/healthz"));
   EXPECT_NE(raw.find("Content-Length:"), std::string::npos);
   EXPECT_EQ(raw.substr(raw.size() - 4), "\r\n\r\n");  // headers only
 }
 
-TEST(ReactorParityTest, StreamedAndCursorPagesAreByteIdentical) {
-  DualFixture fx;
-  const std::string streamed =
-      fx.ExpectIdentical(Req("POST", "/query?stream=1", "SLICE sa=sex=F"));
+TEST(ReactorParityTest, StreamedAndCursorPagesMatchTheGoldenBytes) {
+  GoldenFixture fx;
+  const std::string streamed = fx.ExpectGolden(
+      "stream_slice.http", Req("POST", "/query?stream=1", "SLICE sa=sex=F"));
   EXPECT_NE(streamed.find("Transfer-Encoding: chunked"), std::string::npos);
   EXPECT_NE(streamed.find("\"rows\":3"), std::string::npos);
 
-  const std::string page1 = fx.ExpectIdentical(
+  const std::string page1 = fx.ExpectGolden(
+      "stream_page1.http",
       Req("POST", "/query?stream=1", "SLICE sa=sex=F LIMIT 2"));
   const size_t cursor_at = page1.find("\"next_cursor\":\"");
   ASSERT_NE(cursor_at, std::string::npos) << page1;
   const size_t start = cursor_at + 15;
   const std::string cursor =
       page1.substr(start, page1.find('"', start) - start);
-  fx.ExpectIdentical(Req("POST", "/query?stream=1&cursor=" + cursor,
-                         "SLICE sa=sex=F LIMIT 2"));
+  fx.ExpectGolden("stream_page2.http",
+                  Req("POST", "/query?stream=1&cursor=" + cursor,
+                      "SLICE sa=sex=F LIMIT 2"));
 }
 
-TEST(ReactorParityTest, MalformedRequestsGetTheSame400) {
-  DualFixture fx;
-  // Content-Length over the body cap fails in the header phase — both
-  // front-ends must answer the identical 400 and close.
-  const std::string raw = fx.ExpectIdentical(
+TEST(ReactorParityTest, MalformedRequestsGetTheGolden400) {
+  GoldenFixture fx;
+  // Content-Length over the body cap fails in the header phase: 400 and
+  // close.
+  const std::string raw = fx.ExpectGolden(
+      "over_limit_400.http",
       "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: 99999999\r\n\r\n");
   EXPECT_NE(raw.find("400 Bad Request"), std::string::npos);
   EXPECT_NE(raw.find("exceeds the limit"), std::string::npos);
 }
 
 TEST(ReactorParityTest, PipelinedKeepAliveServesEveryRequestInOrder) {
-  DualFixture fx;
+  GoldenFixture fx;
   // Three requests written before any response is read: the reactor must
   // park the pipelined bytes while each response is in flight.
   const std::string burst = Req("GET", "/healthz", "", /*close=*/false) +
                             Req("GET", "/cubes", "", /*close=*/false) +
                             Req("POST", "/query", "SLICE sa=sex=F");
-  const std::string raw = fx.ExpectIdentical(burst);
+  const std::string raw = fx.ExpectGolden("pipelined_burst.http", burst);
   size_t heads = 0;
   for (size_t at = raw.find("HTTP/1.1 200 OK"); at != std::string::npos;
        at = raw.find("HTTP/1.1 200 OK", at + 1)) {
@@ -251,9 +273,9 @@ TEST(ReactorParityTest, PipelinedKeepAliveServesEveryRequestInOrder) {
 }
 
 TEST(ReactorParityTest, LineProtocolAnswersAndQuits) {
-  DualFixture fx;
-  const std::string raw =
-      fx.ExpectIdentical("TOPK 1 BY dissimilarity\nQUIT\n");
+  GoldenFixture fx;
+  const std::string raw = fx.ExpectGolden(
+      "line_protocol.txt", "TOPK 1 BY dissimilarity\nQUIT\n");
   EXPECT_NE(raw.find("\"code\":\"OK\""), std::string::npos);
 }
 
@@ -264,8 +286,7 @@ TEST(ReactorTest, SlowReaderBackpressuresWithoutLosingBytes) {
   query::CubeStore store;
   query::QueryService service(&store, {});
   store.Publish("default", MakeWideCube(6000));
-  ScubedServer server(&service, &store,
-                      MakeServerOptions(Frontend::kReactor));
+  ScubedServer server(&service, MakeServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
@@ -276,13 +297,7 @@ TEST(ReactorTest, SlowReaderBackpressuresWithoutLosingBytes) {
           .ok());
   // Let the server fill the socket buffer and the outbox watermark.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  std::string out;
-  char buf[4096];
-  while (true) {
-    auto n = socket.Read(buf, sizeof(buf));
-    if (!n.ok() || *n == 0) break;
-    out.append(buf, *n);
-  }
+  const std::string out = ReadToEof(&socket);
   EXPECT_NE(out.find("\"rows\":6000"), std::string::npos);
   EXPECT_NE(out.find("\"code\":\"OK\""), std::string::npos);
   server.Stop();
@@ -292,9 +307,9 @@ TEST(ReactorTest, IdleConnectionsTimeOutAndCount) {
   query::CubeStore store;
   query::QueryService service(&store, {});
   store.Publish("default", MakeCube(0.2));
-  ServerOptions options = MakeServerOptions(Frontend::kReactor);
+  ServerOptions options = MakeServerOptions();
   options.idle_timeout_seconds = 0.3;
-  ScubedServer server(&service, &store, options);
+  ScubedServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
@@ -313,21 +328,19 @@ TEST(ReactorTest, HeaderDeadlineDropsAStalledRequest) {
   query::CubeStore store;
   query::QueryService service(&store, {});
   store.Publish("default", MakeCube(0.2));
-  ServerOptions options = MakeServerOptions(Frontend::kReactor);
+  ServerOptions options = MakeServerOptions();
   options.request_read_seconds = 0.3;
   options.idle_timeout_seconds = 30;  // idle alone must not fire here
-  ScubedServer server(&service, &store, options);
+  ScubedServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(connected.ok());
   net::Socket socket = std::move(connected).value();
-  // A request that starts and then stalls forever.
+  // A request that starts and then stalls forever: 408, then close.
   ASSERT_TRUE(socket.WriteAll("POST /query HTTP/1.1\r\nHost: t\r\nCon").ok());
   WallTimer timer;
-  char buf[64];
-  auto n = socket.Read(buf, sizeof(buf));
-  EXPECT_TRUE(n.ok() && *n == 0) << (n.ok() ? "bytes" : n.status().ToString());
+  EXPECT_EQ(ReadGolden("read_timeout_408.http"), Mask(ReadToEof(&socket)));
   EXPECT_LT(timer.Millis(), 3000);
   EXPECT_GE(server.metrics().header_deadline_closes.load(), 1u);
   server.Stop();
@@ -337,8 +350,7 @@ TEST(ReactorTest, GracefulStopClosesIdleKeepAliveConnections) {
   query::CubeStore store;
   query::QueryService service(&store, {});
   store.Publish("default", MakeCube(0.2));
-  ScubedServer server(&service, &store,
-                      MakeServerOptions(Frontend::kReactor));
+  ScubedServer server(&service, MakeServerOptions());
   ASSERT_TRUE(server.Start().ok());
 
   std::vector<net::Socket> idle;
@@ -360,16 +372,16 @@ TEST(ReactorTest, GracefulStopClosesIdleKeepAliveConnections) {
   EXPECT_EQ(server.metrics().open_connections.load(), 0);
 }
 
-TEST(ThreadedGuardTest, SlowLorisTrickleCannotPinAHandlerThread) {
-  // A byte-at-a-time header trickle resets the per-read SO_RCVTIMEO every
-  // byte; only the total read deadline stops it. Before that fix this
-  // connection held a handler thread for as long as it kept dripping.
+TEST(ReactorTest, SlowLorisTrickleGetsA408ThenClose) {
+  // A byte-at-a-time header trickle: every byte is fresh progress, so
+  // only the header-read deadline (armed at the first byte, never reset
+  // by later ones) stops it.
   query::CubeStore store;
   query::QueryService service(&store, {});
   store.Publish("default", MakeCube(0.2));
-  ServerOptions options = MakeServerOptions(Frontend::kThreads);
+  ServerOptions options = MakeServerOptions();
   options.request_read_seconds = 0.4;
-  ScubedServer server(&service, &store, options);
+  ScubedServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
@@ -399,29 +411,8 @@ TEST(ThreadedGuardTest, SlowLorisTrickleCannotPinAHandlerThread) {
   }
   EXPECT_TRUE(over) << "server never gave up on the trickle";
   EXPECT_LT(timer.Millis(), 3000);
-  EXPECT_NE(got.find("408"), std::string::npos) << got;
+  EXPECT_EQ(ReadGolden("read_timeout_408.http"), Mask(got));
   EXPECT_GE(server.metrics().header_deadline_closes.load(), 1u);
-  server.Stop();
-}
-
-TEST(ThreadedGuardTest, IdleTimeoutCountsOnTheThreadedFrontEnd) {
-  query::CubeStore store;
-  query::QueryService service(&store, {});
-  store.Publish("default", MakeCube(0.2));
-  ServerOptions options = MakeServerOptions(Frontend::kThreads);
-  options.idle_timeout_seconds = 0.3;
-  ScubedServer server(&service, &store, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto connected = net::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(connected.ok());
-  net::Socket socket = std::move(connected).value();
-  WallTimer timer;
-  char buf[16];
-  auto n = socket.Read(buf, sizeof(buf));
-  EXPECT_TRUE(n.ok() && *n == 0);
-  EXPECT_LT(timer.Millis(), 3000);
-  EXPECT_GE(server.metrics().idle_timeout_closes.load(), 1u);
   server.Stop();
 }
 

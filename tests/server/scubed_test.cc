@@ -58,7 +58,7 @@ struct Fixture {
   explicit Fixture(query::ServiceOptions service_options = {},
                    ServerOptions server_options = MakeServerOptions())
       : service(&store, service_options),
-        server(&service, &store, server_options) {
+        server(&service, server_options) {
     store.Publish("default", MakeCube(0.2));
     Status started = server.Start();
     EXPECT_TRUE(started.ok()) << started;
@@ -69,7 +69,6 @@ struct Fixture {
     options.port = 0;
     options.loopback_only = true;
     options.num_connection_threads = 4;
-    options.idle_poll_seconds = 0.1;  // fast Stop() in tests
     return options;
   }
 
