@@ -201,18 +201,18 @@ Status ReadErrorResponseBody(net::BufferedReader* reader,
 }  // namespace
 
 std::string EncodeScatterCursor(const ScatterCursor& cursor) {
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(cursor.query_hash));
   std::string consumed;
   for (uint64_t c : cursor.consumed) {
     if (!consumed.empty()) consumed += ';';
     consumed += std::to_string(c);
   }
   std::string plain = std::string(kScatterCursorMagic) + kScatterCursorSep +
-                      std::to_string(cursor.version) + kScatterCursorSep +
-                      hash_hex + kScatterCursorSep + consumed +
-                      kScatterCursorSep + cursor.cube;
+                      std::to_string(cursor.version) + kScatterCursorSep;
+  AppendHexU64(cursor.query_hash, &plain);
+  plain += kScatterCursorSep;
+  plain += consumed;
+  plain += kScatterCursorSep;
+  plain += cursor.cube;
   std::string token = Base64Encode(plain);
   for (char& c : token) {
     if (c == '+') c = '-';

@@ -2,10 +2,15 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace scube {
+
+namespace {
+constexpr char kHexDigits[] = "0123456789abcdef";
+}  // namespace
 
 std::vector<std::string> Split(std::string_view input, char sep) {
   std::vector<std::string> out;
@@ -126,6 +131,29 @@ Result<uint64_t> ParseHexU64(std::string_view s) {
   return value;
 }
 
+void AppendHexU64(uint64_t v, std::string* out) {
+  char digits[16];
+  for (int i = 15; i >= 0; --i) {
+    digits[i] = kHexDigits[v & 0xf];
+    v >>= 4;
+  }
+  out->append(digits, sizeof(digits));
+}
+
+void AppendDecimal(uint64_t v, std::string* out) {
+  char digits[20];  // UINT64_MAX has 20 decimal digits
+  const auto result = std::to_chars(digits, digits + sizeof(digits), v);
+  out->append(digits, result.ptr);
+}
+
+void AppendDoubleG6(double v, std::string* out) {
+  // Longest "%.6g" rendering: "-1.23457e-308" (13 bytes).
+  char digits[32];
+  const auto result = std::to_chars(digits, digits + sizeof(digits), v,
+                                    std::chars_format::general, 6);
+  out->append(digits, result.ptr);
+}
+
 namespace {
 
 constexpr char kBase64Alphabet[] =
@@ -210,50 +238,68 @@ Result<std::string> Base64Decode(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// Appends the escaped body of a JSON string token. Runs of bytes that
+/// need no escaping are copied with one append each.
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\b':
+        out->append("\\b");
+        break;
+      case '\f':
+        out->append("\\f");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHexDigits[c >> 4],
+                               kHexDigits[c & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+}  // namespace
+
+void AppendJsonQuoted(std::string_view s, std::string* out) {
+  out->push_back('"');
+  AppendJsonEscaped(s, out);
+  out->push_back('"');
+}
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(s, &out);
   return out;
 }
 
 std::string JsonQuote(std::string_view s) {
-  std::string out = "\"";
-  out += JsonEscape(s);
-  out += '"';
+  std::string out;
+  out.reserve(s.size() + 2);
+  AppendJsonQuoted(s, &out);
   return out;
 }
 

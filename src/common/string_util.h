@@ -38,6 +38,20 @@ Result<double> ParseDouble(std::string_view s);
 /// codec.
 Result<uint64_t> ParseHexU64(std::string_view s);
 
+/// Appends `v` as exactly 16 lower-case hex digits, zero-padded (the
+/// "%016llx" rendering); ParseHexU64 reads it back. Used for cursor query
+/// hashes, trace ids and the shard wire format's double bit patterns.
+void AppendHexU64(uint64_t v, std::string* out);
+
+/// Appends `v` in decimal (std::to_chars; the bytes of std::to_string).
+void AppendDecimal(uint64_t v, std::string* out);
+
+/// Appends `v` rendered exactly as printf("%.6g") renders it — the number
+/// format of the JSON and CSV answer serialisers. std::to_chars (general,
+/// precision 6) is specified by reference to printf, so the bytes match
+/// without snprintf, locale or allocation.
+void AppendDoubleG6(double v, std::string* out);
+
 /// Formats a double with `digits` decimal places ("0.78").
 std::string FormatDouble(double v, int digits);
 
@@ -52,13 +66,17 @@ std::string Base64Encode(std::string_view s);
 /// or a truncated final group. Whitespace is not accepted.
 Result<std::string> Base64Decode(std::string_view s);
 
-/// Escapes `s` for embedding inside a JSON string literal (RFC 8259):
-/// quote, backslash, and the C0 control characters. Bytes >= 0x20 other
-/// than `"` and `\` pass through untouched, so UTF-8 survives verbatim.
-/// Does NOT add the surrounding quotes.
+/// Appends `s` as a complete JSON string token (RFC 8259): surrounding
+/// double quotes, with quote, backslash and the C0 control characters
+/// escaped. Bytes >= 0x20 other than `"` and `\` pass through untouched,
+/// so UTF-8 survives verbatim; a string with nothing to escape is copied
+/// in one append.
+void AppendJsonQuoted(std::string_view s, std::string* out);
+
+/// The body of AppendJsonQuoted's token, without the surrounding quotes.
 std::string JsonEscape(std::string_view s);
 
-/// `JsonEscape` wrapped in double quotes: a complete JSON string token.
+/// AppendJsonQuoted into a fresh string.
 std::string JsonQuote(std::string_view s);
 
 }  // namespace scube

@@ -1,7 +1,6 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/string_util.h"
 
@@ -210,10 +209,9 @@ uint64_t CurrentTraceId() {
 }
 
 std::string TraceIdHex(uint64_t id) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(id));
-  return std::string(buf);
+  std::string hex;
+  AppendHexU64(id, &hex);
+  return hex;
 }
 
 void LatencyHistogram::Observe(double ms) {

@@ -51,8 +51,10 @@ CubeView::CubeView(relational::ItemCatalog catalog,
   std::vector<std::function<void()>> tasks;
   tasks.emplace_back([this] { BuildPostings(true, &sa_postings_); });
   tasks.emplace_back([this] { BuildPostings(false, &ca_postings_); });
-  tasks.emplace_back([this] { BuildSliceGroups(true, &sa_groups_); });
-  tasks.emplace_back([this] { BuildSliceGroups(false, &ca_groups_); });
+  tasks.emplace_back(
+      [this] { BuildSliceGroups(true, &sa_groups_, &sa_labels_); });
+  tasks.emplace_back(
+      [this] { BuildSliceGroups(false, &ca_groups_, &ca_labels_); });
   tasks.emplace_back([this, threads] { BuildAdjacency(threads); });
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     tasks.emplace_back(
@@ -90,11 +92,24 @@ void CubeView::BuildPostings(bool sa_axis, Csr* csr) {
   }
 }
 
-void CubeView::BuildSliceGroups(bool sa_axis, SliceGroups* groups) {
+void CubeView::BuildSliceGroups(bool sa_axis, SliceGroups* groups,
+                                LabelCache* labels) {
   for (size_t i = 0; i < cells_.size(); ++i) {
     const fpm::Itemset& axis =
         sa_axis ? cells_[i].coords.sa : cells_[i].coords.ca;
     (*groups)[axis].push_back(static_cast<CellId>(i));
+  }
+  // The groups enumerate the axis's distinct itemsets: render each label
+  // once and point every cell of the group at it.
+  labels->text.reserve(groups->size());
+  labels->of_cell.resize(cells_.size());
+  for (const auto& [itemset, ids] : *groups) {
+    const auto index = static_cast<uint32_t>(labels->text.size());
+    const bool named = std::all_of(
+        itemset.items().begin(), itemset.items().end(),
+        [this](fpm::ItemId item) { return item < catalog_.size(); });
+    labels->text.push_back(named ? catalog_.LabelSet(itemset) : "?");
+    for (CellId id : ids) labels->of_cell[id] = index;
   }
 }
 
@@ -277,10 +292,11 @@ std::string CubeView::ToCsv() const {
     header.emplace_back(indexes::IndexKindToString(kind));
   }
   writer.WriteRow(header);
-  for (const CubeCell& cell : cells_) {
+  for (CellId id = 0; id < cells_.size(); ++id) {
+    const CubeCell& cell = cells_[id];
     std::vector<std::string> row{
-        catalog_.LabelSet(cell.coords.sa),
-        catalog_.LabelSet(cell.coords.ca),
+        SaLabel(id),
+        CaLabel(id),
         std::to_string(cell.context_size),
         std::to_string(cell.minority_size),
         std::to_string(cell.num_units),

@@ -14,7 +14,10 @@
 //     navigation and the explorer's SURPRISES/REVERSALS walk arrays with
 //     no per-call hashing,
 //   - per-index ranked orders (defined cells by value descending), so
-//     top-k queries walk a precomputed order instead of sorting per call.
+//     top-k queries walk a precomputed order instead of sorting per call,
+//   - a label cache: ItemCatalog::LabelSet rendered once per distinct SA
+//     and CA itemset, with two label indices per cell, so the answer
+//     serialisers copy a cell's labels instead of rebuilding them per row.
 //
 // A CubeView is immutable after construction and therefore safe to share
 // across threads without locks; the serving layer publishes
@@ -74,6 +77,23 @@ class CubeView {
   /// Cell payload by id. Ids are ordinals into Cells(), so ascending id
   /// order is ascending coordinate order.
   const CubeCell& cell(CellId id) const { return cells_[id]; }
+
+  /// Id of a cell reference obtained from this view (cell(), Cells(), or
+  /// a finding that points into them).
+  CellId IdOf(const CubeCell& cell) const {
+    return static_cast<CellId>(&cell - cells_.data());
+  }
+
+  /// ItemCatalog::LabelSet of the cell's SA (resp. CA) itemset ("*" when
+  /// empty), rendered once per distinct itemset while the view sealed. An
+  /// itemset holding an item the catalog does not name (hand-built test
+  /// cubes) is labelled "?".
+  const std::string& SaLabel(CellId id) const {
+    return sa_labels_.text[sa_labels_.of_cell[id]];
+  }
+  const std::string& CaLabel(CellId id) const {
+    return ca_labels_.text[ca_labels_.of_cell[id]];
+  }
 
   /// Point lookups.
   CellId FindId(const CellCoordinates& coords) const;
@@ -159,8 +179,15 @@ class CubeView {
   using SliceGroups =
       std::unordered_map<fpm::Itemset, std::vector<CellId>, fpm::ItemsetHash>;
 
+  /// One axis's rendered labels: text[of_cell[id]] labels cell id.
+  struct LabelCache {
+    std::vector<std::string> text;
+    std::vector<uint32_t> of_cell;
+  };
+
   void BuildPostings(bool sa_axis, Csr* csr);
-  void BuildSliceGroups(bool sa_axis, SliceGroups* groups);
+  void BuildSliceGroups(bool sa_axis, SliceGroups* groups,
+                        LabelCache* labels);
   void BuildAdjacency(size_t num_threads);
   void BuildRankedOrder(indexes::IndexKind kind,
                         const std::vector<CellId>& defined);
@@ -182,6 +209,8 @@ class CubeView {
   Csr ca_postings_;
   SliceGroups sa_groups_;
   SliceGroups ca_groups_;
+  LabelCache sa_labels_;
+  LabelCache ca_labels_;
   Csr parents_;
   Csr children_;
   std::array<std::vector<CellId>, indexes::kNumIndexKinds> ranked_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <ctime>
 
 #include "common/string_util.h"
@@ -396,16 +396,17 @@ Status ChunkedWriter::Flush() {
   if (!status_.ok()) return status_;
   if (buffer_.empty()) return status_;
   trace::Span span(trace_, "wire.flush");
-  char size_line[32];
-  int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n",
-                        buffer_.size());
-  std::string frame;
-  frame.reserve(static_cast<size_t>(n) + buffer_.size() + 2);
-  frame.append(size_line, static_cast<size_t>(n));
-  frame.append(buffer_);
-  frame.append("\r\n");
+  char size_hex[16];  // a size_t has at most 16 hex digits
+  const auto size_end =
+      std::to_chars(size_hex, size_hex + sizeof(size_hex), buffer_.size(), 16)
+          .ptr;
+  frame_.clear();
+  frame_.append(size_hex, size_end);
+  frame_.append("\r\n");
+  frame_.append(buffer_);
+  frame_.append("\r\n");
   buffer_.clear();
-  return Emit(frame);
+  return Emit(frame_);
 }
 
 Status ChunkedWriter::Finish() {

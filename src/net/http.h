@@ -218,6 +218,7 @@ class ChunkedWriter {
   size_t flush_bytes_;
   trace::TraceContext* trace_ = nullptr;
   std::string buffer_;
+  std::string frame_;  ///< one chunk's wire bytes, reused across flushes
   size_t peak_buffer_ = 0;
   uint64_t bytes_written_ = 0;
   bool head_written_ = false;

@@ -22,9 +22,10 @@ std::string ItemKey(const std::string& attr, const std::string& value) {
 }
 
 ResultRow MakeRow(const cube::CubeView& view, const cube::CubeCell& cell) {
+  const cube::CubeView::CellId id = view.IdOf(cell);
   ResultRow row;
-  row.sa = view.catalog().LabelSet(cell.coords.sa);
-  row.ca = view.catalog().LabelSet(cell.coords.ca);
+  row.sa = view.SaLabel(id);
+  row.ca = view.CaLabel(id);
   row.t = cell.context_size;
   row.m = cell.minority_size;
   row.units = cell.num_units;

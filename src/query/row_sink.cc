@@ -1,7 +1,5 @@
 #include "query/row_sink.h"
 
-#include <cstdio>
-
 #include "common/string_util.h"
 
 namespace scube {
@@ -9,28 +7,27 @@ namespace query {
 
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// Escapes a CSV field (quotes when it contains comma/quote/newline).
-std::string CsvField(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
+/// Appends a CSV field, quoted (inner quotes doubled) when it contains a
+/// comma, quote or newline.
+void AppendCsvField(std::string_view s, std::string* out) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out->append(s);
+    return;
   }
-  out += '"';
-  return out;
+  out->push_back('"');
+  for (char c : s) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
-// JSON string escaping is shared with the HTTP front-end (scube::JsonQuote,
-// common/string_util.h) so the /query handler and the result serialisers
-// cannot drift.
-std::string JsonString(const std::string& s) { return JsonQuote(s); }
+/// Appends `,"name":`, the lead-in of a JSON object member after the first.
+void AppendJsonMember(std::string_view name, std::string* out) {
+  out->push_back(',');
+  AppendJsonQuoted(name, out);
+  out->push_back(':');
+}
 
 }  // namespace
 
@@ -60,94 +57,136 @@ void VectorSink::Finish(const ResultTrailer& trailer) {
 
 bool JsonWriter::Begin(const ResultHeader& header) {
   header_ = header;
-  std::string out = "{\"verb\":";
-  out += JsonString(VerbToString(header.verb));
-  out += ",\"by\":";
-  out += JsonString(indexes::IndexKindToString(header.by));
-  out += ",\"rows\":[";
-  return Write(out);
+  std::string& out = StartLine();
+  out.append("{\"verb\":");
+  AppendJsonQuoted(VerbToString(header.verb), &out);
+  out.append(",\"by\":");
+  AppendJsonQuoted(indexes::IndexKindToString(header.by), &out);
+  out.append(",\"rows\":[");
+  return WriteLine();
 }
 
 bool JsonWriter::Row(const ResultRow& row) {
-  std::string out;
-  if (!first_row_) out += ',';
+  std::string& out = StartLine();
+  if (!first_row_) out.push_back(',');
   first_row_ = false;
-  out += "{\"sa\":" + JsonString(row.sa) + ",\"ca\":" + JsonString(row.ca) +
-         ",\"T\":" + std::to_string(row.t) + ",\"M\":" + std::to_string(row.m) +
-         ",\"units\":" + std::to_string(row.units) + ",\"indexes\":{";
+  out.append("{\"sa\":");
+  AppendJsonQuoted(row.sa, &out);
+  out.append(",\"ca\":");
+  AppendJsonQuoted(row.ca, &out);
+  out.append(",\"T\":");
+  AppendDecimal(row.t, &out);
+  out.append(",\"M\":");
+  AppendDecimal(row.m, &out);
+  out.append(",\"units\":");
+  AppendDecimal(row.units, &out);
+  out.append(",\"indexes\":{");
   bool first = true;
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-    if (!first) out += ',';
+    if (!first) out.push_back(',');
     first = false;
-    out += JsonString(indexes::IndexKindToString(kind));
-    out += ':';
-    out += row.defined ? FormatDouble(row.indexes[static_cast<size_t>(kind)])
-                       : "null";
+    AppendJsonQuoted(indexes::IndexKindToString(kind), &out);
+    out.push_back(':');
+    if (row.defined) {
+      AppendDoubleG6(row.indexes[static_cast<size_t>(kind)], &out);
+    } else {
+      out.append("null");
+    }
   }
-  out += '}';
-  if (header_.has_value) out += ",\"value\":" + FormatDouble(row.value);
+  out.push_back('}');
+  if (header_.has_value) {
+    out.append(",\"value\":");
+    AppendDoubleG6(row.value, &out);
+  }
   if (header_.has_aux) {
-    out += "," + JsonString(header_.aux_name) + ":" + FormatDouble(row.aux);
+    AppendJsonMember(header_.aux_name, &out);
+    AppendDoubleG6(row.aux, &out);
   }
   if (header_.has_aux2) {
-    out += "," + JsonString(header_.aux2_name) + ":" + FormatDouble(row.aux2);
+    AppendJsonMember(header_.aux2_name, &out);
+    AppendDoubleG6(row.aux2, &out);
   }
   if (header_.has_tag) {
-    out += "," + JsonString(header_.tag_name) + ":" + JsonString(row.tag);
+    AppendJsonMember(header_.tag_name, &out);
+    AppendJsonQuoted(row.tag, &out);
   }
-  out += '}';
-  return Write(out);
+  out.push_back('}');
+  return WriteLine();
 }
 
 void JsonWriter::Finish(const ResultTrailer& trailer) {
-  std::string out = "],\"cells_scanned\":" +
-                    std::to_string(trailer.cells_scanned);
+  std::string& out = StartLine();
+  out.append("],\"cells_scanned\":");
+  AppendDecimal(trailer.cells_scanned, &out);
   if (!trailer.next_cursor.empty()) {
-    out += ",\"next_cursor\":" + JsonString(trailer.next_cursor);
+    out.append(",\"next_cursor\":");
+    AppendJsonQuoted(trailer.next_cursor, &out);
   }
-  out += '}';
-  Write(out);
+  out.push_back('}');
+  WriteLine();
 }
 
 // --- CsvWriter --------------------------------------------------------------
 
 bool CsvWriter::Begin(const ResultHeader& header) {
   header_ = header;
-  std::string out = "sa,ca,T,M,units";
+  std::string& out = StartLine();
+  out.append("sa,ca,T,M,units");
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-    out += ",";
-    out += indexes::IndexKindToString(kind);
+    out.push_back(',');
+    out.append(indexes::IndexKindToString(kind));
   }
-  if (header.has_value) out += ",value";
-  if (header.has_aux) out += "," + header.aux_name;
-  if (header.has_aux2) out += "," + header.aux2_name;
-  if (header.has_tag) out += "," + header.tag_name;
-  out += '\n';
-  return Write(out);
+  // Verb-specific column names are written as they are, unquoted.
+  if (header.has_value) out.append(",value");
+  if (header.has_aux) out.append(",").append(header.aux_name);
+  if (header.has_aux2) out.append(",").append(header.aux2_name);
+  if (header.has_tag) out.append(",").append(header.tag_name);
+  out.push_back('\n');
+  return WriteLine();
 }
 
 bool CsvWriter::Row(const ResultRow& row) {
-  std::string out = CsvField(row.sa) + "," + CsvField(row.ca) + "," +
-                    std::to_string(row.t) + "," + std::to_string(row.m) + "," +
-                    std::to_string(row.units);
+  std::string& out = StartLine();
+  AppendCsvField(row.sa, &out);
+  out.push_back(',');
+  AppendCsvField(row.ca, &out);
+  out.push_back(',');
+  AppendDecimal(row.t, &out);
+  out.push_back(',');
+  AppendDecimal(row.m, &out);
+  out.push_back(',');
+  AppendDecimal(row.units, &out);
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
-    out += ",";
+    out.push_back(',');
     if (row.defined) {
-      out += FormatDouble(row.indexes[static_cast<size_t>(kind)]);
+      AppendDoubleG6(row.indexes[static_cast<size_t>(kind)], &out);
     }
   }
-  if (header_.has_value) out += "," + FormatDouble(row.value);
-  if (header_.has_aux) out += "," + FormatDouble(row.aux);
-  if (header_.has_aux2) out += "," + FormatDouble(row.aux2);
-  if (header_.has_tag) out += "," + CsvField(row.tag);
-  out += '\n';
-  return Write(out);
+  if (header_.has_value) {
+    out.push_back(',');
+    AppendDoubleG6(row.value, &out);
+  }
+  if (header_.has_aux) {
+    out.push_back(',');
+    AppendDoubleG6(row.aux, &out);
+  }
+  if (header_.has_aux2) {
+    out.push_back(',');
+    AppendDoubleG6(row.aux2, &out);
+  }
+  if (header_.has_tag) {
+    out.push_back(',');
+    AppendCsvField(row.tag, &out);
+  }
+  out.push_back('\n');
+  return WriteLine();
 }
 
 void CsvWriter::Finish(const ResultTrailer& trailer) {
-  if (!trailer.next_cursor.empty()) {
-    Write("# next_cursor: " + trailer.next_cursor + "\n");
-  }
+  if (trailer.next_cursor.empty()) return;
+  std::string& out = StartLine();
+  out.append("# next_cursor: ").append(trailer.next_cursor).push_back('\n');
+  WriteLine();
 }
 
 // --- replay -----------------------------------------------------------------
@@ -212,13 +251,12 @@ uint64_t CursorQueryHash(const Query& query) {
 std::string EncodeCursor(const Cursor& cursor) {
   // The cube name goes LAST: it is the only field that may itself contain
   // the separator, so the decoder re-joins the tail instead of rejecting.
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
-                static_cast<unsigned long long>(cursor.query_hash));
   std::string plain = std::string(kCursorMagic) + kCursorSep +
                       std::to_string(cursor.version) + kCursorSep +
-                      std::to_string(cursor.position) + kCursorSep +
-                      hash_hex + kCursorSep + cursor.cube;
+                      std::to_string(cursor.position) + kCursorSep;
+  AppendHexU64(cursor.query_hash, &plain);
+  plain += kCursorSep;
+  plain += cursor.cube;
   std::string token = Base64Encode(plain);
   // URL-safe alphabet (RFC 4648 base64url): tokens travel as ?cursor=
   // query parameters, where '+' would decode to a space and '/' can

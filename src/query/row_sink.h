@@ -23,6 +23,15 @@
 //                         and materialised renderings are byte-identical
 //                         by construction.
 //
+// Rendering cost: every writer (WireWriter in query/wire_format.h too)
+// appends each row into one row buffer that it owns, clears and reuses, and
+// hands to the write callback once per row. Numbers go through
+// std::to_chars (doubles as "%.6g", or as raw bit-pattern hex on the wire)
+// and strings are escaped in place, so a row in steady state makes no heap
+// allocation. The sa/ca labels a row carries are not built per row either:
+// CubeView renders each distinct SA/CA itemset's label once while it seals,
+// and the executor copies the cached label into the row.
+//
 // Cursors: an answer page (LIMIT n OFFSET k) that stops before the row
 // stream is exhausted yields an opaque resume token encoding
 // (cube name, sealed version, absolute row position). Resuming against the
@@ -99,19 +108,34 @@ class ResultWriter : public RowSink {
   /// Sinks bytes; false = stop producing.
   using WriteFn = std::function<bool(std::string_view)>;
 
-  explicit ResultWriter(WriteFn write) : write_(std::move(write)) {}
+  explicit ResultWriter(WriteFn write) : write_(std::move(write)) {
+    line_.reserve(kInitialLineBytes);
+  }
 
   bool ok() const { return ok_; }
 
  protected:
-  /// Forwards to the write callback, latching failure.
-  bool Write(std::string_view data) {
-    if (ok_ && !write_(data)) ok_ = false;
+  /// The reused row buffer, cleared: append one event's bytes into it,
+  /// then WriteLine. Its capacity survives, so it grows only for a row
+  /// wider than every earlier one.
+  std::string& StartLine() {
+    line_.clear();
+    return line_;
+  }
+
+  /// Forwards the row buffer to the write callback, latching failure.
+  bool WriteLine() {
+    if (ok_ && !write_(line_)) ok_ = false;
     return ok_;
   }
 
  private:
+  /// Room for any ordinary row, so a whole answer usually renders without
+  /// growing the buffer.
+  static constexpr size_t kInitialLineBytes = 1024;
+
   WriteFn write_;
+  std::string line_;
   bool ok_ = true;
 };
 

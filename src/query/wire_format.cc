@@ -1,7 +1,6 @@
 #include "query/wire_format.h"
 
 #include <bit>
-#include <cstdio>
 #include <vector>
 
 #include "common/string_util.h"
@@ -95,6 +94,11 @@ bool ParseWireBool(std::string_view field, bool* out) {
   return false;
 }
 
+/// A double travels as the hex of its IEEE-754 bit pattern.
+void AppendWireDouble(double v, std::string* out) {
+  AppendHexU64(std::bit_cast<uint64_t>(v), out);
+}
+
 Status BadLine(const char* what) {
   return Status::ParseError(std::string("malformed wire line: ") + what);
 }
@@ -102,85 +106,92 @@ Status BadLine(const char* what) {
 }  // namespace
 
 void AppendWireEscaped(std::string_view text, std::string* out) {
-  for (char c : text) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c != '\\' && c != '\t' && c != '\n' && c != '\r') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '\\': *out += "\\\\"; break;
-      case '\t': *out += "\\t"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      default: out->push_back(c);
+      case '\\': out->append("\\\\"); break;
+      case '\t': out->append("\\t"); break;
+      case '\n': out->append("\\n"); break;
+      default: out->append("\\r"); break;
     }
   }
+  out->append(text.data() + run, text.size() - run);
 }
 
 std::string WireDouble(double v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<uint64_t>(v)));
-  return buf;
+  std::string hex;
+  AppendWireDouble(v, &hex);
+  return hex;
 }
 
 bool WireWriter::Begin(const ResultHeader& header) {
-  std::string line = "H\t";
-  line += std::to_string(static_cast<int>(header.verb));
-  line += '\t';
-  line += std::to_string(static_cast<int>(header.by));
-  line += '\t';
-  line += header.has_value ? '1' : '0';
-  line += '\t';
-  line += header.has_aux ? '1' : '0';
-  line += '\t';
-  line += header.has_aux2 ? '1' : '0';
-  line += '\t';
-  line += header.has_tag ? '1' : '0';
-  line += '\t';
+  std::string& line = StartLine();
+  line.append("H\t");
+  AppendDecimal(static_cast<uint64_t>(header.verb), &line);
+  line.push_back('\t');
+  AppendDecimal(static_cast<uint64_t>(header.by), &line);
+  line.push_back('\t');
+  line.push_back(header.has_value ? '1' : '0');
+  line.push_back('\t');
+  line.push_back(header.has_aux ? '1' : '0');
+  line.push_back('\t');
+  line.push_back(header.has_aux2 ? '1' : '0');
+  line.push_back('\t');
+  line.push_back(header.has_tag ? '1' : '0');
+  line.push_back('\t');
   AppendWireEscaped(header.aux_name, &line);
-  line += '\t';
+  line.push_back('\t');
   AppendWireEscaped(header.aux2_name, &line);
-  line += '\t';
+  line.push_back('\t');
   AppendWireEscaped(header.tag_name, &line);
-  line += '\n';
-  return Write(line);
+  line.push_back('\n');
+  return WriteLine();
 }
 
 bool WireWriter::Row(const ResultRow& row) {
-  std::string line = "R\t";
+  std::string& line = StartLine();
+  line.append("R\t");
   AppendHex(row.skey, &line);
-  line += '\t';
+  line.push_back('\t');
   AppendWireEscaped(row.sa, &line);
-  line += '\t';
+  line.push_back('\t');
   AppendWireEscaped(row.ca, &line);
-  line += '\t';
-  line += std::to_string(row.t);
-  line += '\t';
-  line += std::to_string(row.m);
-  line += '\t';
-  line += std::to_string(row.units);
-  line += '\t';
-  line += row.defined ? '1' : '0';
+  line.push_back('\t');
+  AppendDecimal(row.t, &line);
+  line.push_back('\t');
+  AppendDecimal(row.m, &line);
+  line.push_back('\t');
+  AppendDecimal(row.units, &line);
+  line.push_back('\t');
+  line.push_back(row.defined ? '1' : '0');
   for (double v : row.indexes) {
-    line += '\t';
-    line += WireDouble(v);
+    line.push_back('\t');
+    AppendWireDouble(v, &line);
   }
-  line += '\t';
-  line += WireDouble(row.value);
-  line += '\t';
-  line += WireDouble(row.aux);
-  line += '\t';
-  line += WireDouble(row.aux2);
-  line += '\t';
+  line.push_back('\t');
+  AppendWireDouble(row.value, &line);
+  line.push_back('\t');
+  AppendWireDouble(row.aux, &line);
+  line.push_back('\t');
+  AppendWireDouble(row.aux2, &line);
+  line.push_back('\t');
   AppendWireEscaped(row.tag, &line);
-  line += '\n';
-  return Write(line);
+  line.push_back('\n');
+  return WriteLine();
 }
 
 void WireWriter::Finish(const ResultTrailer& trailer) {
-  std::string line = "T\t";
-  line += std::to_string(trailer.cells_scanned);
-  line += '\t';
+  std::string& line = StartLine();
+  line.append("T\t");
+  AppendDecimal(trailer.cells_scanned, &line);
+  line.push_back('\t');
   AppendWireEscaped(trailer.next_cursor, &line);
-  line += '\n';
-  Write(line);
+  line.push_back('\n');
+  WriteLine();
 }
 
 std::string WireStatusLine(StatusCode code, const std::string& message,

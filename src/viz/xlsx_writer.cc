@@ -191,8 +191,8 @@ Status WriteCubeXlsx(const cube::CubeView& view,
 
   for (const cube::CubeCell& cell : view.Cells()) {
     std::vector<XlsxValue> row{
-        view.catalog().LabelSet(cell.coords.sa),
-        view.catalog().LabelSet(cell.coords.ca),
+        view.SaLabel(view.IdOf(cell)),
+        view.CaLabel(view.IdOf(cell)),
         static_cast<int64_t>(cell.context_size),
         static_cast<int64_t>(cell.minority_size),
         static_cast<int64_t>(cell.num_units),

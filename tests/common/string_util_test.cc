@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 namespace scube {
 namespace {
 
@@ -100,6 +103,59 @@ TEST(ParseHexU64Test, ParsesAndRejects) {
   EXPECT_FALSE(ParseHexU64("0x10").ok());
   EXPECT_FALSE(ParseHexU64("zz").ok());
   EXPECT_FALSE(ParseHexU64("10000000000000000").ok());  // 2^64: overflow
+}
+
+TEST(AppendHexU64Test, RoundTripsThroughParseHexU64) {
+  const uint64_t cases[] = {
+      0,
+      1,
+      0x0123456789abcdefull,
+      UINT64_MAX,
+      std::bit_cast<uint64_t>(-0.0),
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN()),
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity()),
+      std::bit_cast<uint64_t>(-std::numeric_limits<double>::infinity()),
+  };
+  for (uint64_t v : cases) {
+    std::string hex = "x";  // appends after existing bytes
+    AppendHexU64(v, &hex);
+    ASSERT_EQ(hex.size(), 17u) << v;
+    EXPECT_EQ(hex[0], 'x');
+    EXPECT_EQ(ParseHexU64(std::string_view(hex).substr(1)).value(), v);
+  }
+  std::string hex;
+  AppendHexU64(0, &hex);
+  EXPECT_EQ(hex, "0000000000000000");
+  hex.clear();
+  AppendHexU64(std::bit_cast<uint64_t>(-0.0), &hex);
+  EXPECT_EQ(hex, "8000000000000000");
+  hex.clear();
+  AppendHexU64(std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity()),
+               &hex);
+  EXPECT_EQ(hex, "7ff0000000000000");
+  hex.clear();
+  AppendHexU64(UINT64_MAX, &hex);
+  EXPECT_EQ(hex, "ffffffffffffffff");
+}
+
+TEST(AppendDecimalTest, MatchesToString) {
+  for (uint64_t v : {uint64_t{0}, uint64_t{7}, uint64_t{1000},
+                     uint64_t{4294967295u}, UINT64_MAX}) {
+    std::string out = "#";
+    AppendDecimal(v, &out);
+    EXPECT_EQ(out, "#" + std::to_string(v));
+  }
+}
+
+TEST(AppendJsonQuotedTest, AppendsACompleteTokenInPlace) {
+  std::string out = "[";
+  AppendJsonQuoted("plain", &out);
+  out.push_back(',');
+  AppendJsonQuoted("q\"b\\s\x01" "c\nu\xc3\xa9", &out);
+  out.push_back(',');
+  AppendJsonQuoted("", &out);
+  EXPECT_EQ(out, "[\"plain\",\"q\\\"b\\\\s\\u0001c\\nu\xc3\xa9\",\"\"");
+  EXPECT_EQ(JsonQuote("a\tb"), "\"" + JsonEscape("a\tb") + "\"");
 }
 
 TEST(Base64Test, EncodesKnownVectors) {

@@ -215,6 +215,38 @@ TEST(CubeViewTest, HandBuiltCubesWithoutCatalogStillIndex) {
   EXPECT_EQ(view.Dice(fpm::Itemset({7}), fpm::Itemset({11})).size(), 1u);
 }
 
+TEST(CubeViewTest, LabelCacheMatchesTheCatalogRendering) {
+  CubeView view = MakeView();
+  for (CubeView::CellId id = 0; id < view.NumCells(); ++id) {
+    const CubeCell& cell = view.cell(id);
+    EXPECT_EQ(view.IdOf(cell), id);
+    EXPECT_EQ(view.SaLabel(id), view.catalog().LabelSet(cell.coords.sa));
+    EXPECT_EQ(view.CaLabel(id), view.catalog().LabelSet(cell.coords.ca));
+  }
+  const CubeView::CellId id =
+      view.FindId(CellCoordinates{fpm::Itemset({1, 0}), fpm::Itemset({2})});
+  ASSERT_NE(id, CubeView::kNoCell);
+  EXPECT_EQ(view.SaLabel(id), "sex=F & age=young");
+  EXPECT_EQ(view.CaLabel(id), "region=north");
+  // Cells sharing an itemset share one rendered label.
+  const CubeView::CellId sibling =
+      view.FindId(CellCoordinates{fpm::Itemset({0, 1}), fpm::Itemset()});
+  ASSERT_NE(sibling, CubeView::kNoCell);
+  EXPECT_EQ(&view.SaLabel(id), &view.SaLabel(sibling));
+  EXPECT_EQ(view.CaLabel(sibling), "*");
+}
+
+TEST(CubeViewTest, ItemsOutsideTheCatalogAreLabelledQuestionMark) {
+  SegregationCube cube;
+  cube.Insert(MakeCell({7}, {}, 10, 2, 0.1));
+  CubeView view = std::move(cube).Seal();
+  const CubeView::CellId id = view.FindId(
+      CellCoordinates{fpm::Itemset({7}), fpm::Itemset()});
+  ASSERT_NE(id, CubeView::kNoCell);
+  EXPECT_EQ(view.SaLabel(id), "?");
+  EXPECT_EQ(view.CaLabel(id), "*");
+}
+
 }  // namespace
 }  // namespace cube
 }  // namespace scube
