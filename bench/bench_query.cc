@@ -2,10 +2,11 @@
 // QueryService under three regimes:
 //   - cold cache: every query misses and executes against the cube,
 //   - hot cache: repeats answered straight from the LRU result cache,
-//   - batched shared scan: a mixed batch fanned out over the worker pool,
-//     analytic queries sharing one pass over the cube's cells.
-// The worker-thread sweep (1..8) shows the concurrent serving layer
-// scaling; hot vs cold shows the cache-hit speedup.
+//   - shared scan: Executor::ExecuteBatch (the publish-time warming path),
+//     analytic queries sharing one pass over the cube's cells, against
+//     one Execute call per query.
+// Each service query runs on the calling thread (ExecuteOne); hot vs cold
+// shows the cache-hit speedup.
 //
 // The Indexed-vs-scan section pits each CubeView secondary index against
 // the naive full-scan it replaced, side by side on the same sealed cube:
@@ -85,37 +86,35 @@ std::vector<std::string> Workload(size_t n) {
   return out;
 }
 
+/// Answers every workload statement once, one ExecuteOne call each.
+void RunWorkload(query::QueryService* service,
+                 const std::vector<std::string>& workload) {
+  for (const std::string& text : workload) {
+    auto response = service->ExecuteOne(text);
+    benchmark::DoNotOptimize(response);
+  }
+}
+
 // Cold cache: capacity 0, so every query parses, plans and executes.
 void BM_QueryCold(benchmark::State& state) {
   query::ServiceOptions options;
-  options.num_workers = static_cast<size_t>(state.range(0));
   options.cache_capacity = 0;
   query::QueryService service(&Store(), options);
   auto workload = Workload(64);
-  for (auto _ : state) {
-    auto responses = service.ExecuteBatch(workload);
-    benchmark::DoNotOptimize(responses);
-  }
+  for (auto _ : state) RunWorkload(&service, workload);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(workload.size()));
-  state.counters["workers"] = static_cast<double>(options.num_workers);
 }
-BENCHMARK(BM_QueryCold)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QueryCold)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// Hot cache: one warmup batch, then every query is an LRU hit.
+// Hot cache: one warmup pass, then every query is an LRU hit.
 void BM_QueryHot(benchmark::State& state) {
   query::ServiceOptions options;
-  options.num_workers = static_cast<size_t>(state.range(0));
   options.cache_capacity = 256;
   query::QueryService service(&Store(), options);
   auto workload = Workload(64);
-  auto warmup = service.ExecuteBatch(workload);
-  benchmark::DoNotOptimize(warmup);
-  for (auto _ : state) {
-    auto responses = service.ExecuteBatch(workload);
-    benchmark::DoNotOptimize(responses);
-  }
+  RunWorkload(&service, workload);
+  for (auto _ : state) RunWorkload(&service, workload);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(workload.size()));
   state.counters["hit_rate"] = [&] {
@@ -126,7 +125,7 @@ void BM_QueryHot(benchmark::State& state) {
                      static_cast<double>(stats.hits + stats.misses);
   }();
 }
-BENCHMARK(BM_QueryHot)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QueryHot)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Shared scan vs one-at-a-time: the same 64 scan-shaped queries through
 // Executor::ExecuteBatch (one cell pass) and through 64 Execute calls.

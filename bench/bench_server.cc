@@ -26,8 +26,8 @@
 //
 // Writes the trajectory record BENCH_server.json next to the binary.
 //
-// Run:  ./bench_server [--quick] [--scale S] [--workers N] [--seconds T]
-//                      [--rows R] [--idle-conns C]
+// Run:  ./bench_server [--quick] [--scale S] [--seconds T] [--rows R]
+//                      [--idle-conns C]
 
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -95,7 +95,7 @@ const std::vector<std::string>& QueryMix() {
 
 /// Cache-busting variant stream: distinct canonical texts, so every
 /// request costs real executor work instead of a cache hit. Every 16th
-/// is a SURPRISES scan to keep the workers honestly busy.
+/// is a SURPRISES scan to keep the executions honestly busy.
 std::string CacheBustQuery(size_t n) {
   if (n % 16 == 0) {
     return "SURPRISES BY dissimilarity MINDELTA 0." +
@@ -337,8 +337,7 @@ struct ShardedResult {
 /// router. The router is single-flight by design, so the headline number
 /// is per-request latency (fan-out + merge), not client-side concurrency.
 ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
-                              size_t clients, double seconds,
-                              size_t shard_workers) {
+                              size_t clients, double seconds) {
   cluster::PartitionOptions partition_options;
   partition_options.num_shards = n;
   std::vector<cube::SegregationCube> parts =
@@ -355,7 +354,6 @@ ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
     auto node = std::make_unique<ShardNode>();
     node->store.Publish("default", std::move(parts[i]));
     query::ServiceOptions service_options;
-    service_options.num_workers = shard_workers;
     service_options.cache_capacity = 0;  // measure execution, not replay
     node->service =
         std::make_unique<query::QueryService>(&node->store, service_options);
@@ -537,21 +535,20 @@ struct IdleConnResult {
 /// the querier's tail latency does not.
 IdleConnResult RunIdleConnPhase(cube::SegregationCube cube, size_t target,
                                 size_t clients, double seconds,
-                                size_t workers) {
+                                size_t dispatch_threads) {
   IdleConnResult out;
   out.target = target;
 
   query::CubeStore store;
   store.Publish("default", std::move(cube));
   query::ServiceOptions service_options;
-  service_options.num_workers = workers;
   service_options.cache_capacity = 0;  // measure execution, not replay
   query::QueryService service(&store, service_options);
 
   server::ServerOptions options;
   options.port = 0;
   options.loopback_only = true;
-  options.num_connection_threads = workers;  // fixed pool — the claim
+  options.num_connection_threads = dispatch_threads;  // fixed: the claim
   options.idle_timeout_seconds = 600;        // the herd must outlive the run
   server::ScubedServer server(&service, options);
   Status started = server.Start();
@@ -634,7 +631,8 @@ int main(int argc, char** argv) {
   double scale = 0.002;
   double seconds = 3.0;
   size_t clients = 4;
-  size_t workers = 4;
+  // Idle-connection phase: the fixed dispatch pool under the herd.
+  const size_t idle_dispatch_threads = 4;
   double deadline_ms = 250;
   // The streaming phase keeps its full width under --quick: the point is
   // that a 100k-row answer streams in O(1) buffer, and the synthetic cube
@@ -649,8 +647,6 @@ int main(int argc, char** argv) {
       scale = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
       seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       rows = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--idle-conns") == 0 && i + 1 < argc) {
@@ -674,9 +670,9 @@ int main(int argc, char** argv) {
 
   query::CubeStore store;
   query::ServiceOptions service_options;
-  service_options.num_workers = workers;
   service_options.cache_capacity = 512;
-  service_options.max_pending = 2 * workers;  // shallow: bounded latency
+  // Executions in flight; shallow, so accepted latency stays bounded.
+  service_options.max_pending = 8;
   service_options.default_deadline_ms = deadline_ms;
   service_options.warm_top_n = 8;
   query::QueryService service(&store, service_options);
@@ -685,7 +681,7 @@ int main(int argc, char** argv) {
   server::ServerOptions server_options;
   server_options.port = 0;  // ephemeral
   server_options.loopback_only = true;
-  // Dispatch capacity must exceed worker + queue capacity, so that
+  // Dispatch capacity must exceed the admission bound, so that
   // query-level admission (not the dispatch pool) is what saturates.
   server_options.num_connection_threads = clients * 16;
   server::ScubedServer server(&service, server_options);
@@ -694,10 +690,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("scubed on 127.0.0.1:%u — %zu workers, queue bound %zu, "
-              "deadline %.0f ms\n\n",
-              server.port(), workers, service_options.max_pending,
-              deadline_ms);
+  std::printf("scubed on 127.0.0.1:%u — %zu dispatch threads, queue bound "
+              "%zu, deadline %.0f ms\n\n",
+              server.port(), server_options.num_connection_threads,
+              service_options.max_pending, deadline_ms);
 
   // --- phase 1: closed loop (hot mix, then cache-busting capacity probe) --
   std::printf("[closed loop, hot mix] %zu clients, %.1f s\n", clients,
@@ -711,7 +707,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(hot.errors), hot.Qps(),
               hot_hist.Quantile(0.50), hot_hist.Quantile(0.99));
 
-  // The capacity probe must *saturate* the workers, not measure one
+  // The capacity probe must *saturate* the service, not measure one
   // connection's round-trip latency: enough concurrent closed-loop
   // clients that the service rate, not the RTT, is the limit.
   size_t probe_clients = clients * 8;
@@ -793,7 +789,6 @@ int main(int argc, char** argv) {
               rows, rows / 10);
   query::CubeStore wide_store;
   query::ServiceOptions wide_options;
-  wide_options.num_workers = 2;
   wide_options.cache_capacity = 0;  // measure execution, not cache replay
   query::QueryService wide_service(&wide_store, wide_options);
   wide_store.Publish("default", BuildWideCube(rows));
@@ -871,7 +866,7 @@ int main(int argc, char** argv) {
   std::vector<ShardedResult> sharded;
   for (size_t n : {1u, 2u, 4u}) {
     sharded.push_back(
-        RunShardedPhase(global_view, n, clients, seconds, workers));
+        RunShardedPhase(global_view, n, clients, seconds));
     const ShardedResult& r = sharded.back();
     std::printf("  %zu shard%s: %llu ok, %llu errors | %.0f qps | "
                 "p50 %.2f ms, p99 %.2f ms\n",
@@ -894,9 +889,10 @@ int main(int argc, char** argv) {
   // --- phase 6: reactor front-end under a mostly-idle keep-alive herd -----
   std::printf("[idle connections] reactor front-end, %zu keep-alive "
               "connections held idle, %zu dispatch threads\n",
-              idle_conns, workers);
+              idle_conns, idle_dispatch_threads);
   IdleConnResult idle = RunIdleConnPhase(BuildDemoCube(scale, 0), idle_conns,
-                                         clients, seconds, workers);
+                                         clients, seconds,
+                                         idle_dispatch_threads);
   std::printf("  held %zu/%zu connections (open gauge %.0f) | querier "
               "%llu ok, %llu errors | %.0f qps | p50 %.2f ms, "
               "p99 %.2f ms\n",

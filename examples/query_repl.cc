@@ -92,7 +92,7 @@ void StreamToStdout(query::QueryService* service, const std::string& text,
     std::fwrite(chunk.data(), 1, chunk.size(), stdout);
     return true;
   };
-  query::QueryService::StreamOutcome outcome;
+  query::StreamOutcome outcome;
   if (csv) {
     query::CsvWriter writer(emit);
     outcome = service->ExecuteStreaming(text, writer, {}, cursor);
@@ -176,10 +176,9 @@ int RunDemo(query::QueryService* service) {
       // Repeat of the first query: answered from the LRU cache.
       "TOPK 5 BY dissimilarity WHERE T >= 30",
   };
-  // One batch: scan-shaped queries on the same cube share one cell scan.
-  auto responses = service->ExecuteBatch(tour);
   int failures = 0;
-  for (const auto& resp : responses) {
+  for (const std::string& text : tour) {
+    auto resp = service->ExecuteOne(text);
     std::printf("\nscubeql> %s\n", resp.text.c_str());
     PrintResponse(resp, nullptr);
     if (!resp.status.ok()) ++failures;
@@ -238,9 +237,7 @@ int main(int argc, char** argv) {
   query::CubeStore store;
   if (!BuildAndPublish(&store, scale)) return 1;
 
-  query::ServiceOptions options;
-  options.num_workers = 4;
-  query::QueryService service(&store, options);
+  query::QueryService service(&store);
 
   if (demo) return RunDemo(&service);
 

@@ -4,20 +4,21 @@
 //
 // Run:  ./scubed --demo                      serve the demo cubes on :8080
 //       ./scubed --demo --port 0             kernel-assigned port (printed)
-//       ./scubed --port 9000 --workers 8 --queue 128 --deadline-ms 250
+//       ./scubed --port 9000 --conns 8 --queue 128 --deadline-ms 250
 //
 // Flags:
 //   --port N          TCP port (default 8080; 0 = kernel-assigned)
-//   --workers N       query worker threads (default 4)
-//   --queue N         admission queue bound; beyond it batches shed with
-//                     503 + Retry-After (default 256)
+//   --queue N         admission bound: query executions in flight; a
+//                     statement beyond it is shed with 503 + Retry-After
+//                     (default 256)
 //   --deadline-ms D   default per-query deadline, 0 = unbounded
 //                     (default 1000)
 //   --cache N         result-cache entries (default 512)
 //   --conns N         dispatch pool size: threads running the route
-//                     handlers (default 8). One epoll event loop drives
-//                     every socket, so 10k+ mostly-idle keep-alive
-//                     connections cost fds, not threads
+//                     handlers and the queries they execute (default 8).
+//                     One epoll event loop drives every socket, so 10k+
+//                     mostly-idle keep-alive connections cost fds, not
+//                     threads
 //   --idle-timeout-ms D
 //                     close keep-alive connections idle for D ms (default
 //                     0 = derive from the idle-poll budget, 60 s)
@@ -203,9 +204,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--port") == 0) {
       port = std::atol(next("--port"));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      service_options.num_workers =
-          static_cast<size_t>(std::atol(next("--workers")));
     } else if (std::strcmp(argv[i], "--queue") == 0) {
       service_options.max_pending =
           static_cast<size_t>(std::atol(next("--queue")));
@@ -314,10 +312,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("scubed listening on port %u (%zu workers, queue bound %zu, "
+  std::printf("scubed listening on port %u (queue bound %zu, "
               "default deadline %.0f ms)\n",
-              server.port(), service.options().num_workers,
-              service.options().max_pending,
+              server.port(), service.options().max_pending,
               service.options().default_deadline_ms);
   if (shard.count > 1) {
     std::printf("  serving shard %zu of %zu (%s partitioning)\n", shard.index,

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "cluster/merge.h"
+#include "common/prometheus.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "query/ast.h"
@@ -409,33 +410,6 @@ query::StreamOutcome ScatterExecutor::ExecuteStreaming(
     const query::QueryContext& ctx, const std::string& cursor) {
   sync::MutexLock lock(&request_mu_);
   return ScatterLocked(text, sink, ctx, cursor);
-}
-
-std::vector<query::QueryResponse> ScatterExecutor::ExecuteBatch(
-    const std::vector<std::string>& texts, const query::QueryContext& ctx) {
-  sync::MutexLock lock(&request_mu_);
-  std::vector<query::QueryResponse> responses;
-  responses.reserve(texts.size());
-  for (const std::string& text : texts) {
-    query::VectorSink sink;
-    query::StreamOutcome outcome = ScatterLocked(text, sink, ctx, "");
-    query::QueryResponse resp;
-    resp.text = outcome.text;
-    resp.canonical = outcome.canonical;
-    resp.cube = outcome.cube;
-    resp.verb = outcome.verb;
-    resp.cube_version = outcome.cube_version;
-    resp.status = std::move(outcome.status);
-    resp.cache_hit = outcome.cache_hit;
-    resp.exec_ms = outcome.exec_ms;
-    if (resp.status.ok()) {
-      resp.result = sink.TakeResult();
-      auto parsed = query::Parse(text);
-      if (parsed.ok()) resp.query_hash = query::CursorQueryHash(*parsed);
-    }
-    responses.push_back(std::move(resp));
-  }
-  return responses;
 }
 
 query::ServiceStats ScatterExecutor::stats() const {
@@ -1074,70 +1048,9 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
 // ---------------------------------------------------------------------------
 // Metrics
 
-namespace {
-
-// server/metrics.cc keeps its exposition helpers file-local on purpose;
-// these are the scatter router's own minimal equivalents.
-
-void FamilyHeader(std::string* out, const char* name, const char* type,
-                  const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += ' ';
-  *out += type;
-  *out += '\n';
-}
-
-std::string SecondsText(double s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", s);
-  return buf;
-}
-
-void ShardHistogramSeries(std::string* out, const char* name,
-                          const std::string& label,
-                          const trace::LatencyHistogram& hist) {
-  auto bucket_line = [&](const std::string& le, uint64_t cumulative) {
-    *out += name;
-    *out += "_bucket{";
-    *out += label;
-    *out += ",le=\"";
-    *out += le;
-    *out += "\"} ";
-    *out += std::to_string(cumulative);
-    *out += '\n';
-  };
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < trace::LatencyHistogram::kBucketBoundsMs.size();
-       ++i) {
-    cumulative += hist.bucket(i);
-    bucket_line(
-        SecondsText(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
-        cumulative);
-  }
-  cumulative += hist.bucket(trace::LatencyHistogram::kNumBuckets - 1);
-  bucket_line("+Inf", cumulative);
-  *out += name;
-  *out += "_sum{";
-  *out += label;
-  *out += "} ";
-  *out += SecondsText(hist.sum_ms() / 1000.0);
-  *out += '\n';
-  *out += name;
-  *out += "_count{";
-  *out += label;
-  *out += "} ";
-  *out += std::to_string(hist.count());
-  *out += '\n';
-}
-
-}  // namespace
-
 void ScatterExecutor::AppendBackendMetrics(std::string* out) const {
+  using prometheus::FamilyHeader;
+  using prometheus::Sample;
   const size_t n = clients_.size();
   auto shard_label = [this](size_t i) {
     return "shard=\"" + std::to_string(i) + "\",backend=\"" +
@@ -1147,25 +1060,24 @@ void ScatterExecutor::AppendBackendMetrics(std::string* out) const {
   FamilyHeader(out, "scubed_shard_requests_total", "counter",
                "Round trips the scatter router attempted per shard.");
   for (size_t i = 0; i < n; ++i) {
-    *out += "scubed_shard_requests_total{" + shard_label(i) + "} " +
-            std::to_string(clients_[i]->health().requests) + "\n";
+    Sample(out, "scubed_shard_requests_total", shard_label(i),
+           clients_[i]->health().requests);
   }
   FamilyHeader(out, "scubed_shard_failures_total", "counter",
                "Round trips that exhausted every replica of a shard.");
   for (size_t i = 0; i < n; ++i) {
-    *out += "scubed_shard_failures_total{" + shard_label(i) + "} " +
-            std::to_string(clients_[i]->health().failures) + "\n";
+    Sample(out, "scubed_shard_failures_total", shard_label(i),
+           clients_[i]->health().failures);
   }
-  FamilyHeader(out, "scubed_scatter_partial_total", "counter",
-               "Requests answered from a shard subset (allow_partial).");
-  *out += "scubed_scatter_partial_total " +
-          std::to_string(partial_.load(std::memory_order_relaxed)) + "\n";
+  prometheus::Counter(out, "scubed_scatter_partial_total",
+                      partial_.load(std::memory_order_relaxed),
+                      "Requests answered from a shard subset (allow_partial).");
 
   FamilyHeader(out, "scubed_shard_rtt_seconds", "histogram",
                "Shard stream head latency (request out to head in).");
   for (size_t i = 0; i < n; ++i) {
-    ShardHistogramSeries(out, "scubed_shard_rtt_seconds", shard_label(i),
-                         *rtt_[i]);
+    prometheus::HistogramSeries(out, "scubed_shard_rtt_seconds",
+                                shard_label(i), *rtt_[i]);
   }
 }
 

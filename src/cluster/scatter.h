@@ -101,10 +101,6 @@ class ScatterExecutor : public query::QueryBackend {
   ScatterExecutor(const ScatterExecutor&) = delete;
   ScatterExecutor& operator=(const ScatterExecutor&) = delete;
 
-  std::vector<query::QueryResponse> ExecuteBatch(
-      const std::vector<std::string>& texts,
-      const query::QueryContext& ctx) override;
-
   query::StreamOutcome ExecuteStreaming(const std::string& text,
                                         query::RowSink& sink,
                                         const query::QueryContext& ctx,

@@ -176,8 +176,8 @@ std::string TraceContext::Summary() const {
 
 Span::Span(TraceContext* trace, const char* name) {
   if (trace == nullptr) return;  // disabled: no clock read, no atomics
-  // Only spans opened under an ancestor of the SAME trace nest; a worker
-  // thread picking up a chunk of some request starts at root level.
+  // Only spans opened under an ancestor of the SAME trace nest; a pool
+  // thread picking up part of some request starts at root level.
   const uint32_t parent = (t_cursor.trace == trace) ? t_cursor.span
                                                     : TraceContext::kNoParent;
   const uint32_t slot = trace->Open(name, parent);

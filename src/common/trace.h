@@ -4,8 +4,9 @@
 //   TraceContext   one per traced request (or build): a 64-bit trace id,
 //                  a monotonic epoch, and a fixed lock-free buffer of
 //                  completed spans. Span records are appended with one
-//                  atomic fetch_add, so worker threads executing chunks
-//                  of the same request record concurrently without locks.
+//                  atomic fetch_add, so pool threads working for the
+//                  same request (the scatter router's shard fan-out)
+//                  record concurrently without locks.
 //   Span           RAII: opens on construction, closes on destruction (or
 //                  an explicit End()). Nesting is tracked through a
 //                  thread-local cursor, so a span opened while another is
@@ -17,7 +18,7 @@
 //                  fixed log-spaced buckets, atomic counters: Observe()
 //                  is two relaxed fetch_adds and never allocates, safe
 //                  from any thread. Rendered as a Prometheus histogram by
-//                  server/metrics.cc; Quantile() interpolates p50/p95/p99
+//                  common/prometheus.h; Quantile() interpolates p50/p95/p99
 //                  for benches and reports.
 //
 // Span names must be string literals (or otherwise outlive the trace):

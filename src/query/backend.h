@@ -9,6 +9,11 @@
 // The router/server stack (server/router.h, server/server.h) programs
 // against this interface only, so a scubed binary serves either mode with
 // the same HTTP envelope, metrics and streaming contract.
+//
+// Every statement runs through one primitive, ExecuteStreaming, on the
+// caller's thread. ExecuteOne is a base-class adapter that streams into a
+// VectorSink and materialises the answer (line protocol, buffered
+// POST /query, tests); a multi-statement body is a loop over it.
 
 #ifndef SCUBE_QUERY_BACKEND_H_
 #define SCUBE_QUERY_BACKEND_H_
@@ -45,17 +50,9 @@ struct QueryResponse {
   Status status;       ///< parse / resolution / execution outcome
   QueryResult result;  ///< valid iff status.ok()
 
-  /// Stream fingerprint (CursorQueryHash) embedded in resume cursors so a
-  /// cursor cannot be replayed against a different statement.
-  uint64_t query_hash = 0;
-
   bool cache_hit = false;
-  double parse_ms = 0.0;
-  /// Execution wall time. Queries answered inside a shared-scan chunk
-  /// report the chunk's time (`shared_batch` tells how many queries
-  /// amortised that scan); cache hits report ~0.
+  /// Execution (or cache-replay) wall time.
   double exec_ms = 0.0;
-  uint32_t shared_batch = 1;
 };
 
 /// \brief Outcome of one streamed execution (ExecuteStreaming).
@@ -100,23 +97,19 @@ class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
 
-  /// Parses and executes a batch; responses[i] answers texts[i].
-  virtual std::vector<QueryResponse> ExecuteBatch(
-      const std::vector<std::string>& texts, const QueryContext& ctx) = 0;
-
   /// Streams one query's answer into `sink` on the caller's thread
-  /// (Begin -> rows -> Finish). `cursor` resumes a previous page.
+  /// (Begin -> rows -> Finish). `cursor` resumes a previous page. The one
+  /// execution primitive: everything else adapts it.
   virtual StreamOutcome ExecuteStreaming(const std::string& text,
                                          RowSink& sink,
                                          const QueryContext& ctx,
                                          const std::string& cursor) = 0;
 
-  /// Parses and executes one query (line protocol). Default: a
-  /// single-statement batch.
-  virtual QueryResponse ExecuteOne(const std::string& text,
-                                   const QueryContext& ctx) {
-    return ExecuteBatch({text}, ctx).front();
-  }
+  /// Parses and executes one query, materialised: ExecuteStreaming into a
+  /// VectorSink, the outcome copied into a QueryResponse (the result's
+  /// next_cursor is the trailer's).
+  QueryResponse ExecuteOne(const std::string& text,
+                           const QueryContext& ctx = {});
 
   /// Serving counters snapshot (the scubed_queries_* series).
   virtual ServiceStats stats() const = 0;

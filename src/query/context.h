@@ -1,9 +1,9 @@
 // QueryContext: per-request execution constraints carried alongside a
-// SCubeQL batch. Today that is one thing — a deadline. The service applies
-// its configured default when a request carries none; the executor checks
-// the deadline cooperatively at batch-statement boundaries (and periodically
-// inside the shared analytic scan), so an expired query returns
-// DeadlineExceeded instead of burning a worker to completion.
+// SCubeQL statement. Today that is one thing — a deadline. The service
+// applies its configured default when a request carries none; the executor
+// checks the deadline cooperatively before each walk (and periodically
+// inside it), so an expired query returns DeadlineExceeded instead of
+// burning its thread to completion.
 
 #ifndef SCUBE_QUERY_CONTEXT_H_
 #define SCUBE_QUERY_CONTEXT_H_
@@ -17,7 +17,7 @@
 namespace scube {
 namespace query {
 
-/// \brief Deadline (and future per-request knobs) for one query batch.
+/// \brief Deadline (and future per-request knobs) for one request.
 /// Cheap to copy; an empty context imposes no constraints.
 struct QueryContext {
   using Clock = std::chrono::steady_clock;

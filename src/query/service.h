@@ -1,21 +1,22 @@
 // QueryService: the concurrent SCubeQL serving layer.
 //
-// One service owns a fixed pool of worker threads and an LRU result
-// cache in front of a CubeStore. A batch of textual queries is parsed,
-// answered from the cache where possible, and the misses are grouped by
-// cube snapshot and fanned out to the workers, each worker chunk sharing
-// one cube scan (Executor::ExecuteBatch). Publishing new cubes proceeds
-// concurrently: in-flight queries keep their snapshot.
+// One service owns an LRU result cache in front of a CubeStore. Every
+// statement runs on its caller's thread through ExecuteStreaming: parse,
+// resolve the cube snapshot, then replay a cached answer or walk the
+// per-snapshot executor straight into the caller's RowSink. Buffered
+// answers (ExecuteOne) are the same stream collected into a VectorSink.
+// Publishing new cubes proceeds concurrently: in-flight queries keep
+// their snapshot.
 //
 // Overload safety (the network front-end's contract):
-//   - admission control: the worker queue is bounded; batches arriving
-//     while the backlog is at the bound are shed immediately with
+//   - admission control: executions in flight are bounded; a statement
+//     arriving while that count is at the bound is shed immediately with
 //     Unavailable (scubed turns that into HTTP 503 + Retry-After),
 //   - per-query deadlines: a QueryContext deadline (or the configured
-//     default) is checked cooperatively at batch-statement boundaries, so
-//     expired queries return DeadlineExceeded instead of burning a worker,
-//   - graceful shutdown: Shutdown() stops admitting, drains every
-//     in-flight chunk, and joins the workers,
+//     default) is checked cooperatively during the walk, so expired
+//     queries return DeadlineExceeded instead of burning the thread,
+//   - graceful shutdown: Shutdown() stops admitting; executions already
+//     admitted finish on their callers' threads,
 //   - publish-time warming: PublishAndWarm() re-executes the hottest
 //     cached query texts against the freshly sealed view, so a publish
 //     does not cliff the cache hit rate.
@@ -25,14 +26,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/sync.h"
 #include "query/ast.h"
 #include "query/backend.h"
 #include "query/context.h"
@@ -45,7 +42,8 @@ namespace query {
 
 /// \brief Service tuning knobs.
 struct ServiceOptions {
-  /// Worker threads answering queries (clamped to >= 1).
+  /// Ignored: statements run on their callers' threads and the service
+  /// owns no workers. Kept only because perfbench/ still sets it.
   size_t num_workers = 4;
 
   /// Result-cache entries across all cubes (0 disables caching).
@@ -54,12 +52,11 @@ struct ServiceOptions {
   /// Cube name used when a query has no FROM clause.
   std::string default_cube = "default";
 
-  /// Admission bound: work arriving while the backlog — queued worker
-  /// tasks plus in-flight streaming executions — is at this bound is shed
-  /// with Unavailable. Streams run on their caller's thread rather than
-  /// the queue, but each one pins a cube snapshot and burns CPU, so they
-  /// count toward the same bound. 0 sheds everything (useful for drain
-  /// tests); pick ~num_workers * expected batch latency budget.
+  /// Admission bound: a statement arriving while this many executions
+  /// (buffered or streamed) are in flight is shed with Unavailable. Each
+  /// execution pins a cube snapshot and burns its caller's CPU until it
+  /// finishes. 0 sheds everything (useful for drain tests); the front-end's
+  /// dispatch pool size is the natural floor.
   size_t max_pending = 256;
 
   /// Deadline applied to requests that carry none (milliseconds);
@@ -75,49 +72,30 @@ struct ServiceOptions {
   /// the shared pool. The sealed view is identical for every setting.
   size_t seal_threads = 1;
 
-  /// Streamed answers above this many rows are not materialised into the
-  /// result cache — the streaming path's memory stays bounded no matter
-  /// how large the answer is. (Batch answers are materialised by nature
-  /// and cache regardless.)
+  /// Answers above this many rows are not materialised into the result
+  /// cache — a stream's memory stays bounded no matter how large the
+  /// answer is. Buffered answers obey the same limit.
   size_t cache_max_rows = 10000;
 };
 
 // ServiceStats, QueryResponse and StreamOutcome live in query/backend.h
-// (shared with every QueryBackend implementation); this header keeps the
-// names reachable for existing includers.
+// (shared with every QueryBackend implementation).
 
 /// \brief Concurrent query server over a CubeStore. Thread-safe.
 class QueryService : public QueryBackend {
  public:
   explicit QueryService(CubeStore* store, ServiceOptions options = {});
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Parses and executes one query.
-  QueryResponse ExecuteOne(const std::string& text,
-                           const QueryContext& ctx = {}) override;
-
-  /// Parses and executes a batch; responses[i] answers texts[i]. When the
-  /// admission queue is full every response carries Unavailable; when the
-  /// context (or default) deadline expires mid-batch the unfinished
-  /// responses carry DeadlineExceeded.
-  std::vector<QueryResponse> ExecuteBatch(
-      const std::vector<std::string>& texts,
-      const QueryContext& ctx = {}) override;
-
-  /// Streamed-execution outcome (kept as a nested alias for existing
-  /// callers; the struct itself lives in query/backend.h).
-  using StreamOutcome = query::StreamOutcome;
-
   /// Streams one query's answer into `sink` on the caller's thread
-  /// (header -> rows -> trailer; the service calls sink.Finish). Shares
-  /// the batch path's contract: admission control (Unavailable when the
-  /// backlog is at the bound), the default deadline, the result cache —
-  /// hits replay the materialised result through the sink byte-identically
-  /// to a live stream; misses that stay under options().cache_max_rows
-  /// rows are materialised into the cache as they stream past.
+  /// (header -> rows -> trailer; the service calls sink.Finish), under
+  /// admission control (Unavailable when options().max_pending executions
+  /// are in flight), the default deadline and the result cache — hits
+  /// replay the materialised result through the sink byte-identically to
+  /// a live stream; misses that stay under options().cache_max_rows rows
+  /// are materialised into the cache as they stream past.
   ///
   /// `cursor` resumes a previous page: it pins the exact name@version
   /// snapshot the first page walked (NotFound once evicted) and overrides
@@ -143,9 +121,9 @@ class QueryService : public QueryBackend {
   PublishInfo PublishAndWarm(const std::string& name,
                              cube::SegregationCube cube);
 
-  /// Stops admitting new batches, drains every queued chunk (in-flight
-  /// ExecuteBatch calls complete normally) and joins the workers.
-  /// Idempotent; also called by the destructor.
+  /// Stops admitting: every later statement is shed with Unavailable.
+  /// Executions already admitted run to completion on their callers'
+  /// threads. Idempotent.
   void Shutdown();
 
   ResultCache::Stats cache_stats() const { return cache_.stats(); }
@@ -158,21 +136,15 @@ class QueryService : public QueryBackend {
   /// Published cubes in the underlying store (GET /cubes).
   std::vector<CubeInfo> ListCubes() const override;
 
-  /// Queue-depth gauge and result-cache counters for /metrics.
+  /// In-flight gauge and result-cache counters for /metrics.
   void AppendBackendMetrics(std::string* out) const override;
 
-  /// Worker tasks currently queued (the admission-controlled backlog).
+  /// Executions currently admitted and unfinished (the admission count).
   size_t queue_depth() const;
 
  private:
-  void WorkerLoop();
-
-  /// Admission check shared by the batch and streaming paths: OK to
-  /// proceed, or the Unavailable shed status. The backlog is queued
-  /// worker tasks plus in-flight streams; when admitting a stream, the
-  /// in-flight count is bumped under the same lock (released by the
-  /// stream's finish path).
-  Status AdmitOrShed(bool stream);
+  /// OK and one more execution in flight, or the Unavailable shed status.
+  Status AdmitOrShed();
 
   /// Applies the configured default deadline to contexts carrying none.
   QueryContext WithDefaultDeadline(const QueryContext& ctx) const;
@@ -186,18 +158,9 @@ class QueryService : public QueryBackend {
   std::atomic<uint64_t> deadline_expired_{0};
   std::atomic<uint64_t> completed_{0};
 
-  /// Admitted ExecuteStreaming calls that have not finished; counts
-  /// toward the admission backlog alongside queue_.size().
-  std::atomic<uint64_t> streams_in_flight_{0};
-
-  mutable sync::Mutex queue_mu_;
-  sync::CondVar queue_cv_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(queue_mu_);
-  bool stopping_ GUARDED_BY(queue_mu_) = false;
-
-  sync::Mutex join_mu_;  ///< serialises the join in Shutdown()
-  bool joined_ GUARDED_BY(join_mu_) = false;
-  std::vector<std::thread> workers_;
+  /// Admitted executions that have not finished, bounded by max_pending.
+  std::atomic<uint64_t> in_flight_{0};
+  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace query

@@ -1,7 +1,6 @@
 #include "server/metrics.h"
 
-#include <cstdio>
-
+#include "common/prometheus.h"
 #include "common/string_util.h"
 
 namespace scube {
@@ -13,101 +12,10 @@ namespace {
 constexpr const char* kVerbLabels[query::kNumVerbs] = {
     "slice", "dice", "rollup", "drilldown", "topk", "surprises", "reversals"};
 
-void Counter(std::string* out, const char* name, uint64_t value,
-             const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " counter\n";
-  *out += name;
-  *out += ' ';
-  *out += std::to_string(value);
-  *out += '\n';
-}
-
-void Gauge(std::string* out, const char* name, double value,
-           const char* help) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " gauge\n";
-  *out += name;
-  *out += ' ';
-  *out += buf;
-  *out += '\n';
-}
-
-/// Formats a seconds value for exposition ("0.005", "2.5", "1e-05").
-std::string Seconds(double s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", s);
-  return buf;
-}
-
-/// HELP/TYPE comment lines for one histogram family; emitted once per
-/// family no matter how many labelled series follow.
-void HistogramHeader(std::string* out, const char* name, const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " histogram\n";
-}
-
-/// One labelled series of a histogram family: the cumulative _bucket
-/// samples (le in seconds, "+Inf" last), then _sum and _count. `label` is
-/// a complete `key="value"` pair, or "" for an unlabelled family.
-void HistogramSeries(std::string* out, const char* name,
-                     const std::string& label,
-                     const trace::LatencyHistogram& hist) {
-  auto bucket_line = [&](const std::string& le, uint64_t cumulative) {
-    *out += name;
-    *out += "_bucket{";
-    if (!label.empty()) {
-      *out += label;
-      *out += ',';
-    }
-    *out += "le=\"";
-    *out += le;
-    *out += "\"} ";
-    *out += std::to_string(cumulative);
-    *out += '\n';
-  };
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < trace::LatencyHistogram::kBucketBoundsMs.size();
-       ++i) {
-    cumulative += hist.bucket(i);
-    bucket_line(Seconds(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
-                cumulative);
-  }
-  cumulative += hist.bucket(trace::LatencyHistogram::kNumBuckets - 1);
-  bucket_line("+Inf", cumulative);
-
-  auto sample = [&](const char* suffix, const std::string& value) {
-    *out += name;
-    *out += suffix;
-    if (!label.empty()) {
-      *out += '{';
-      *out += label;
-      *out += '}';
-    }
-    *out += ' ';
-    *out += value;
-    *out += '\n';
-  };
-  sample("_sum", Seconds(hist.sum_ms() / 1000.0));
-  sample("_count", std::to_string(hist.count()));
-}
+using prometheus::Counter;
+using prometheus::FamilyHeader;
+using prometheus::Gauge;
+using prometheus::HistogramSeries;
 
 }  // namespace
 
@@ -238,9 +146,9 @@ std::string RenderPrometheus(const ServerMetrics& metrics,
   // Latency histograms. Every label value is emitted even at zero count,
   // so dashboards and the CI exposition check see the full series set
   // from the first scrape.
-  HistogramHeader(&out, "scubed_request_latency_seconds",
-                  "End-to-end request latency by route, handler entry to "
-                  "last byte written");
+  FamilyHeader(&out, "scubed_request_latency_seconds", "histogram",
+               "End-to-end request latency by route, handler entry to last "
+               "byte written");
   for (size_t i = 0; i < kNumRoutes; ++i) {
     HistogramSeries(&out, "scubed_request_latency_seconds",
                     std::string("route=\"") +
@@ -248,18 +156,18 @@ std::string RenderPrometheus(const ServerMetrics& metrics,
                     metrics.route_latency[i]);
   }
 
-  HistogramHeader(&out, "scubed_query_latency_seconds",
-                  "Query execution latency by SCubeQL verb (cache hits "
-                  "included)");
+  FamilyHeader(&out, "scubed_query_latency_seconds", "histogram",
+               "Query execution latency by SCubeQL verb (cache hits "
+               "included)");
   for (size_t i = 0; i < query::kNumVerbs; ++i) {
     HistogramSeries(&out, "scubed_query_latency_seconds",
                     std::string("verb=\"") + kVerbLabels[i] + "\"",
                     metrics.verb_latency[i]);
   }
 
-  HistogramHeader(&out, "scubed_stream_ttfb_seconds",
-                  "Streaming time-to-first-byte: request entry until the "
-                  "first response byte reaches the socket");
+  FamilyHeader(&out, "scubed_stream_ttfb_seconds", "histogram",
+               "Streaming time-to-first-byte: request entry until the first "
+               "response byte reaches the socket");
   HistogramSeries(&out, "scubed_stream_ttfb_seconds", "",
                   metrics.stream_ttfb);
   return out;

@@ -9,11 +9,11 @@
 //                    non-blocking writes, keep-alive/header timers —
 //                    never blocks on a socket or a query
 //   dispatch pool    runs the router handlers (router.h) for parsed
-//                    requests; query execution stays in the QueryBackend's
-//                    own workers. Streamed responses write through a
-//                    per-connection outbox: the worker blocks on the
-//                    outbox watermark (backpressure), the loop drains it
-//                    to the socket and yields on EAGAIN
+//                    requests, and with them the queries: the backend
+//                    executes on the calling thread. Streamed responses
+//                    write through a per-connection outbox: the worker
+//                    blocks on the outbox watermark (backpressure), the
+//                    loop drains it to the socket and yields on EAGAIN
 //
 // Per-connection state machine:
 //

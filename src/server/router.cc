@@ -24,7 +24,7 @@ bool ShouldTrace(const RouterContext& ctx, const net::HttpRequest& request) {
 }
 
 /// Records per-verb execution latency for every parsed statement of a
-/// batch answer (parse errors have no verb and are skipped).
+/// buffered answer (parse errors have no verb and are skipped).
 void ObserveVerbs(const RouterContext& ctx,
                   const std::vector<query::QueryResponse>& responses) {
   if (ctx.metrics == nullptr) return;
@@ -123,8 +123,11 @@ net::HttpResponse HandleQuery(const RouterContext& ctx,
                      "empty query body (one SCubeQL statement per line)");
   }
 
-  std::vector<query::QueryResponse> responses =
-      ctx.backend->ExecuteBatch(statements, qctx);
+  std::vector<query::QueryResponse> responses;
+  responses.reserve(statements.size());
+  for (const std::string& statement : statements) {
+    responses.push_back(ctx.backend->ExecuteOne(statement, qctx));
+  }
   ObserveVerbs(ctx, responses);
 
   auto maybe_slow_log = [&](const char* code, uint64_t rows) {

@@ -1,7 +1,8 @@
 // scubed's request router and handlers, separated from connection
 // plumbing so they can be unit-tested without sockets:
 //
-//   POST /query     execute a SCubeQL batch (one statement per body line);
+//   POST /query     execute SCubeQL statements (one per body line, each
+//                   answered in order in one buffered envelope);
 //                   ?format=json|csv, ?deadline_ms=N overrides the default,
 //                   ?debug=trace attaches the request's span breakdown to
 //                   the JSON envelope (trailer chunk on the streamed path)

@@ -51,7 +51,8 @@ struct ServerOptions {
   bool loopback_only = false;
 
   /// Dispatch pool size: threads running router handlers for parsed
-  /// requests (query execution runs in the QueryBackend's own workers).
+  /// requests. Query execution runs on these threads too — the backend
+  /// owns no workers — so this is scubed's one execution pool.
   size_t num_connection_threads = 8;
 
   /// With max_idle_polls, derives the default keep-alive idle timeout

@@ -210,16 +210,16 @@ TEST_F(ScatterTest, EveryVerbIsByteIdenticalAcrossTopologies) {
                 Mask(StreamCsv(single_.get(), text)))
           << n << " shards, " << text;
 
-      // Buffered (batch) path: materialised results render identically.
-      auto batch = topo.scatter->ExecuteBatch({text}, {});
-      ASSERT_EQ(batch.size(), 1u);
-      ASSERT_TRUE(batch[0].status.ok()) << text << " -> " << batch[0].status;
+      // Buffered path: materialised results render identically.
+      auto scattered = topo.scatter->ExecuteOne(text);
+      ASSERT_TRUE(scattered.status.ok()) << text << " -> "
+                                         << scattered.status;
       auto direct = single_->ExecuteOne(text);
       ASSERT_TRUE(direct.status.ok()) << text;
-      EXPECT_EQ(Mask(ToJson(batch[0].result)), Mask(ToJson(direct.result)))
+      EXPECT_EQ(Mask(ToJson(scattered.result)), Mask(ToJson(direct.result)))
           << n << " shards, " << text;
-      EXPECT_EQ(batch[0].verb, direct.verb) << text;
-      EXPECT_EQ(batch[0].cube_version, direct.cube_version) << text;
+      EXPECT_EQ(scattered.verb, direct.verb) << text;
+      EXPECT_EQ(scattered.cube_version, direct.cube_version) << text;
     }
   }
 }

@@ -1,7 +1,6 @@
 // Concurrency edges of the QueryService serving contract: admission
-// rejection under a full queue, deadline expiry (queued and mid-batch),
-// graceful shutdown draining in-flight work without deadlock, and
-// publish-time cache warming.
+// rejection at the in-flight bound, deadline expiry, shutdown under
+// concurrent traffic without deadlock, and publish-time cache warming.
 
 #include <gtest/gtest.h>
 
@@ -49,13 +48,11 @@ TEST(ServiceAdmissionTest, ShedsWhenQueueBoundIsZero) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   ServiceOptions options;
-  options.max_pending = 0;  // bound 0: every batch sheds
+  options.max_pending = 0;  // bound 0: every statement sheds
   QueryService service(&store, options);
 
-  auto responses = service.ExecuteBatch(
-      {"TOPK 1 BY dissimilarity", "SLICE sa=sex=F"});
-  ASSERT_EQ(responses.size(), 2u);
-  for (const auto& resp : responses) {
+  for (const char* text : {"TOPK 1 BY dissimilarity", "SLICE sa=sex=F"}) {
+    auto resp = service.ExecuteOne(text);
     EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable) << resp.status;
     EXPECT_NE(resp.status.message().find("admission queue full"),
               std::string::npos);
@@ -63,6 +60,46 @@ TEST(ServiceAdmissionTest, ShedsWhenQueueBoundIsZero) {
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.rejected, 2u);
   EXPECT_EQ(stats.accepted, 0u);
+}
+
+TEST(ServiceAdmissionTest, BufferedAndStreamedShareOneInFlightBound) {
+  CubeStore store;
+  store.Publish("default", MakeCube(0.5));
+  ServiceOptions options;
+  options.max_pending = 1;
+  options.cache_capacity = 0;
+  QueryService service(&store, options);
+
+  // A stream whose sink issues a buffered statement mid-row: the stream
+  // holds the only slot, so the buffered one sheds, and the in-flight
+  // count (the scubed_queue_depth gauge) reads 1 meanwhile.
+  struct NestedSink : RowSink {
+    QueryService* service = nullptr;
+    Status nested_status;
+    size_t depth_inside = 0;
+    bool Begin(const ResultHeader&) override { return true; }
+    bool Row(const ResultRow&) override {
+      depth_inside = service->queue_depth();
+      nested_status = service->ExecuteOne("SLICE sa=sex=F").status;
+      return true;
+    }
+    void Finish(const ResultTrailer&) override {}
+  } sink;
+  sink.service = &service;
+
+  auto outer = service.ExecuteStreaming("SLICE sa=sex=F", sink);
+  EXPECT_TRUE(outer.status.ok()) << outer.status;
+  EXPECT_EQ(sink.depth_inside, 1u);
+  EXPECT_EQ(sink.nested_status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(sink.nested_status.message().find("1 pending >= 1"),
+            std::string::npos)
+      << sink.nested_status;
+
+  // Both slots' owners are done: the count is back to zero and the next
+  // buffered statement is admitted.
+  EXPECT_EQ(service.queue_depth(), 0u);
+  EXPECT_TRUE(service.ExecuteOne("SLICE sa=sex=F").status.ok());
+  EXPECT_EQ(service.queue_depth(), 0u);
 }
 
 TEST(ServiceAdmissionTest, AdmitsAgainOnceIdle) {
@@ -85,11 +122,10 @@ TEST(ServiceDeadlineTest, AlreadyExpiredDeadlineAnswersDeadlineExceeded) {
 
   QueryContext expired = QueryContext::WithTimeout(-1);
   ASSERT_TRUE(expired.Expired());
-  auto responses = service.ExecuteBatch(
-      {"TOPK 1 BY dissimilarity WHERE M >= 1",
-       "SURPRISES BY dissimilarity MINDELTA 0.01 WHERE T >= 1 AND M >= 1"},
-      expired);
-  for (const auto& resp : responses) {
+  for (const char* text :
+       {"TOPK 1 BY dissimilarity WHERE M >= 1",
+        "SURPRISES BY dissimilarity MINDELTA 0.01 WHERE T >= 1 AND M >= 1"}) {
+    auto resp = service.ExecuteOne(text, expired);
     EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded)
         << resp.status;
   }
@@ -111,37 +147,36 @@ TEST(ServiceDeadlineTest, DefaultDeadlineFromOptionsApplies) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   ServiceOptions options;
-  options.default_deadline_ms = 0.0001;  // expires before any chunk runs
+  options.default_deadline_ms = 0.0001;  // expires before the walk starts
   QueryService service(&store, options);
 
   auto resp = service.ExecuteOne("SLICE sa=sex=F | ca=region=north");
   EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded) << resp.status;
 }
 
-TEST(ServiceShutdownTest, DrainsInFlightBatchesWithoutDeadlock) {
+TEST(ServiceShutdownTest, ShutdownUnderTrafficShedsWithoutDeadlock) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   ServiceOptions options;
-  options.num_workers = 2;
   options.cache_capacity = 0;  // every query executes
   QueryService service(&store, options);
 
-  // Several threads keep submitting scan-heavy batches while the main
-  // thread shuts the service down; every batch must return (drained or
+  // Several threads keep submitting scan-heavy statements while the main
+  // thread shuts the service down; every call must return (finished or
   // shed), never hang.
   std::atomic<bool> go{true};
   std::atomic<uint64_t> returned{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&] {
-      std::vector<std::string> batch;
+      std::vector<std::string> statements;
       for (int i = 0; i < 8; ++i) {
-        batch.push_back("SURPRISES BY dissimilarity MINDELTA 0.0" +
+        statements.push_back("SURPRISES BY dissimilarity MINDELTA 0.0" +
                         std::to_string(i + 1) + " WHERE T >= 1 AND M >= 1");
       }
       while (go.load()) {
-        auto responses = service.ExecuteBatch(batch);
-        for (const auto& resp : responses) {
+        for (const std::string& text : statements) {
+          auto resp = service.ExecuteOne(text);
           EXPECT_TRUE(resp.status.ok() ||
                       resp.status.code() == StatusCode::kUnavailable)
               << resp.status;
@@ -150,7 +185,7 @@ TEST(ServiceShutdownTest, DrainsInFlightBatchesWithoutDeadlock) {
       }
     });
   }
-  // Let some batches through, then shut down concurrently with traffic.
+  // Let some rounds through, then shut down concurrently with traffic.
   while (returned.load() < 4) std::this_thread::yield();
   service.Shutdown();
   go.store(false);
@@ -167,7 +202,7 @@ TEST(ServiceShutdownTest, ShutdownIsIdempotent) {
   store.Publish("default", MakeCube(0.5));
   QueryService service(&store, ServiceOptions{});
   service.Shutdown();
-  service.Shutdown();  // second call is a no-op; destructor adds a third
+  service.Shutdown();  // second call is a no-op
 }
 
 TEST(ServiceWarmingTest, PublishAndWarmPrefillsTheNewVersion) {

@@ -66,13 +66,15 @@ TEST(QueryServiceTest, ErrorsAreReportedPerQuery) {
   store.Publish("default", MakeCube(0.5));
   QueryService service(&store, ServiceOptions{});
 
-  auto responses = service.ExecuteBatch({
-      "TOPK 1 BY dissimilarity WHERE M >= 1",
-      "TOPK 1 BY",                   // parse error
-      "SLICE sa=sex=X",              // resolution error
-      "TOPK 1 BY gini FROM nowhere"  // unknown cube
-  });
-  ASSERT_EQ(responses.size(), 4u);
+  std::vector<QueryResponse> responses;
+  for (const char* text : {
+           "TOPK 1 BY dissimilarity WHERE M >= 1",
+           "TOPK 1 BY",                   // parse error
+           "SLICE sa=sex=X",              // resolution error
+           "TOPK 1 BY gini FROM nowhere"  // unknown cube
+       }) {
+    responses.push_back(service.ExecuteOne(text));
+  }
   EXPECT_TRUE(responses[0].status.ok());
   EXPECT_EQ(responses[1].status.code(), StatusCode::kParseError);
   EXPECT_EQ(responses[2].status.code(), StatusCode::kNotFound);
@@ -142,13 +144,11 @@ TEST(QueryServiceTest, FromVersionPinServesRetainedVersions) {
   EXPECT_EQ(unknown.status.code(), StatusCode::kNotFound);
 }
 
-TEST(QueryServiceTest, BatchFansOutAcrossWorkersAndCubes) {
+TEST(QueryServiceTest, StatementsAcrossCubesAnswerInPlace) {
   CubeStore store;
   store.Publish("default", MakeCube(0.5));
   store.Publish("other", MakeCube(0.8));
-  ServiceOptions options;
-  options.num_workers = 4;
-  QueryService service(&store, options);
+  QueryService service(&store, ServiceOptions{});
 
   // 40 queries, duplicates included, across two cubes.
   std::vector<std::string> texts;
@@ -158,8 +158,10 @@ TEST(QueryServiceTest, BatchFansOutAcrossWorkersAndCubes) {
     texts.push_back("SLICE sa=sex=F | ca=region=north FROM other");
     texts.push_back("DICE sa=sex=F FROM other WHERE T >= 50");
   }
-  auto responses = service.ExecuteBatch(texts);
-  ASSERT_EQ(responses.size(), texts.size());
+  std::vector<QueryResponse> responses;
+  for (const std::string& text : texts) {
+    responses.push_back(service.ExecuteOne(text));
+  }
   for (size_t i = 0; i < responses.size(); ++i) {
     ASSERT_TRUE(responses[i].status.ok())
         << texts[i] << " -> " << responses[i].status;
@@ -171,7 +173,10 @@ TEST(QueryServiceTest, BatchFansOutAcrossWorkersAndCubes) {
           indexes::IndexKind::kDissimilarity)],
       0.8);
   EXPECT_EQ(responses[2].cube, "other");
-  // In-batch duplicates execute once but all respond.
+  // A repeated statement is answered from the entry its first copy
+  // filled, with the same bytes.
+  EXPECT_FALSE(responses[1].cache_hit);
+  EXPECT_TRUE(responses[5].cache_hit);
   EXPECT_EQ(ToJson(responses[1].result), ToJson(responses[5].result));
 }
 

@@ -217,6 +217,26 @@ TEST(ReactorParityTest, BufferedRoutesMatchTheGoldenBytes) {
   fx.ExpectGolden("empty_body_400.http", Req("POST", "/query", ""));
 }
 
+TEST(ReactorParityTest, MultiStatementBodiesMatchTheGoldenBytes) {
+  // One buffered body covering every per-statement outcome: a repeated
+  // statement, a parse error, an unknown cube, an analytic verb and a
+  // LIMITed page that carries a resume cursor.
+  const std::string body =
+      "# comment lines and blank lines are skipped\n"
+      "SLICE sa=sex=F\n"
+      "\n"
+      "SLICE sa=sex=F\n"
+      "SLICE sa=\n"
+      "SLICE sa=sex=F FROM nosuch\n"
+      "SURPRISES BY dissimilarity MINDELTA 0.05\n"
+      "SLICE sa=sex=F LIMIT 2\n";
+  GoldenFixture fx;
+  fx.ExpectGolden("batch_json.http", Req("POST", "/query", body));
+  GoldenFixture csv;
+  csv.ExpectGolden("batch_csv.http",
+                   Req("POST", "/query?format=csv", body));
+}
+
 TEST(ReactorParityTest, HeadStripsTheBody) {
   GoldenFixture fx;
   const std::string raw =

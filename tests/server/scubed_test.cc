@@ -237,9 +237,8 @@ TEST(ScubedTest, DebugTraceAttachesSpanTreeToBufferedEnvelope) {
   ASSERT_TRUE(plain.ok()) << plain.status();
   EXPECT_EQ(plain->body.find("\"trace\""), std::string::npos);
 
-  // A statement the plain call did NOT cache: a cache hit would answer
-  // inside "prepare" and the queue_wait/execute spans would rightly be
-  // absent.
+  // A statement the plain call did NOT cache: a cache hit would replay
+  // under "cache_replay" and the execute span would rightly be absent.
   auto traced = fx.Call("POST", "/query?debug=trace",
                         "SLICE sa=sex=F | ca=region=north");
   ASSERT_TRUE(traced.ok()) << traced.status();
@@ -249,7 +248,7 @@ TEST(ScubedTest, DebugTraceAttachesSpanTreeToBufferedEnvelope) {
   // The serving path's named phases are all present and closed (no
   // still-open spans leak into the rendered tree).
   for (const char* name : {"\"name\":\"admit\"", "\"name\":\"prepare\"",
-                           "\"name\":\"queue_wait\"", "\"name\":\"execute\"",
+                           "\"name\":\"execute\"",
                            "\"name\":\"serialize\""}) {
     EXPECT_NE(traced->body.find(name), std::string::npos) << name;
   }
