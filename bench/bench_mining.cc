@@ -1,9 +1,9 @@
 // EFF-MINE: the mining-engine comparison behind §3's efficiency discussion.
 // FP-Growth (production engine, the Borgelt-FPGrowth stand-in) vs Eclat vs
-// Apriori vs brute force, across minimum-support levels, plus the all-vs-
-// closed ablation. Expected shape: FP-Growth and Eclat lead, Apriori trails
-// at low support, brute force is hopeless beyond toy sizes; closed-mode
-// output is a fraction of all-mode output on correlated data.
+// brute force, across minimum-support levels, plus the all-vs-closed
+// ablation. Expected shape: FP-Growth and Eclat lead, brute force is
+// hopeless beyond toy sizes; closed-mode output is a fraction of all-mode
+// output on correlated data.
 
 #include <benchmark/benchmark.h>
 
@@ -67,9 +67,6 @@ void BM_FpGrowth(benchmark::State& state) {
 void BM_Eclat(benchmark::State& state) {
   RunMiner(state, "eclat", fpm::MineMode::kAll);
 }
-void BM_Apriori(benchmark::State& state) {
-  RunMiner(state, "apriori", fpm::MineMode::kAll);
-}
 void BM_FpGrowthClosed(benchmark::State& state) {
   RunMiner(state, "fpgrowth", fpm::MineMode::kClosed);
 }
@@ -78,8 +75,6 @@ void BM_FpGrowthClosed(benchmark::State& state) {
 BENCHMARK(BM_FpGrowth)->Arg(1000)->Arg(200)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Eclat)->Arg(1000)->Arg(200)->Arg(40)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Apriori)->Arg(1000)->Arg(200)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FpGrowthClosed)->Arg(1000)->Arg(200)->Arg(40)
     ->Unit(benchmark::kMillisecond);

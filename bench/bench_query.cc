@@ -1,10 +1,7 @@
 // EFF-QUERY: SCubeQL serving cost. Measures queries/sec through the
-// QueryService under three regimes:
+// QueryService under two regimes:
 //   - cold cache: every query misses and executes against the cube,
-//   - hot cache: repeats answered straight from the LRU result cache,
-//   - shared scan: Executor::ExecuteBatch (the publish-time warming path),
-//     analytic queries sharing one pass over the cube's cells, against
-//     one Execute call per query.
+//   - hot cache: repeats answered straight from the LRU result cache.
 // Each service query runs on the calling thread (ExecuteOne); hot vs cold
 // shows the cache-hit speedup.
 //
@@ -28,8 +25,6 @@
 #include "cube/explorer.h"
 #include "datagen/scenarios.h"
 #include "query/cube_store.h"
-#include "query/executor.h"
-#include "query/parser.h"
 #include "query/service.h"
 #include "scube/pipeline.h"
 
@@ -126,39 +121,6 @@ void BM_QueryHot(benchmark::State& state) {
   }();
 }
 BENCHMARK(BM_QueryHot)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Shared scan vs one-at-a-time: the same 64 scan-shaped queries through
-// Executor::ExecuteBatch (one cell pass) and through 64 Execute calls.
-void BM_ExecutorSharedScan(benchmark::State& state) {
-  auto snapshot = Store().Get("default");
-  query::Executor executor(*snapshot);
-  std::vector<query::Query> queries;
-  for (const std::string& text : Workload(64)) {
-    auto q = query::Parse(text);
-    if (q.ok() && (q->verb == query::Verb::kTopK ||
-                   q->verb == query::Verb::kDice ||
-                   q->verb == query::Verb::kSlice)) {
-      queries.push_back(std::move(*q));
-    }
-  }
-  bool shared = state.range(0) == 1;
-  for (auto _ : state) {
-    if (shared) {
-      auto results = executor.ExecuteBatch(queries);
-      benchmark::DoNotOptimize(results);
-    } else {
-      for (const query::Query& q : queries) {
-        auto result = executor.Execute(q);
-        benchmark::DoNotOptimize(result);
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(queries.size()));
-  state.SetLabel(shared ? "shared-scan" : "per-query");
-}
-BENCHMARK(BM_ExecutorSharedScan)->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Indexed vs full-scan: the same questions answered through the CubeView's

@@ -45,7 +45,7 @@ struct CubeBuilderOptions {
   uint32_t max_sa_items = 3;
   uint32_t max_ca_items = 2;
 
-  /// Mining engine ("fpgrowth", "eclat", "apriori", "brute-force").
+  /// Mining engine ("fpgrowth", "eclat", "brute-force"; fpm::MinerNames()).
   std::string miner = "fpgrowth";
 
   /// kClosed (the paper's choice): one cell per closed itemset.

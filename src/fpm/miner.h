@@ -1,9 +1,9 @@
 // Frequent-itemset miner interface and result types.
 //
 // SCube's data-cube construction is driven by frequent (closed) itemset
-// mining (the original system uses Borgelt's FPGrowth). Three miners are
-// provided — FP-Growth (the production engine), Apriori and Eclat (baselines
-// for the efficiency study) — plus a brute-force reference used in tests.
+// mining (the original system uses Borgelt's FPGrowth). Two miners are
+// provided — FP-Growth (the production engine) and Eclat (the baseline for
+// the efficiency study) — plus a brute-force reference used in tests.
 
 #ifndef SCUBE_FPM_MINER_H_
 #define SCUBE_FPM_MINER_H_

@@ -1,6 +1,5 @@
 #include "fpm/registry.h"
 
-#include "fpm/apriori.h"
 #include "fpm/brute_force.h"
 #include "fpm/eclat.h"
 #include "fpm/fpgrowth.h"
@@ -9,7 +8,7 @@ namespace scube {
 namespace fpm {
 
 std::vector<std::string> MinerNames() {
-  return {"fpgrowth", "eclat", "apriori", "brute-force"};
+  return {"fpgrowth", "eclat", "brute-force"};
 }
 
 Result<std::unique_ptr<FrequentItemsetMiner>> MakeMiner(
@@ -19,9 +18,6 @@ Result<std::unique_ptr<FrequentItemsetMiner>> MakeMiner(
   }
   if (name == "eclat") {
     return std::unique_ptr<FrequentItemsetMiner>(new EclatMiner());
-  }
-  if (name == "apriori") {
-    return std::unique_ptr<FrequentItemsetMiner>(new AprioriMiner());
   }
   if (name == "brute-force") {
     return std::unique_ptr<FrequentItemsetMiner>(new BruteForceMiner());

@@ -13,8 +13,7 @@
 namespace scube {
 namespace fpm {
 
-/// Names of all registered engines ("fpgrowth", "eclat", "apriori",
-/// "brute-force").
+/// Names of all registered engines ("fpgrowth", "eclat", "brute-force").
 std::vector<std::string> MinerNames();
 
 /// Instantiates the engine with the given name; NotFound for unknown names.

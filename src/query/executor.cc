@@ -134,15 +134,14 @@ ResultHeader HeaderFor(const Query& q) {
 
 /// How a query consumes the view's indexes.
 enum class Mode {
-  kPoint,      ///< fully addressed SLICE: one map lookup
+  kPoint,      ///< SLICE on both axes (or neither: the root): one lookup
   kSliceSa,    ///< exact-SA slice group
   kSliceCa,    ///< exact-CA slice group
-  kSliceAll,   ///< degenerate SLICE with no coordinates: every cell
   kDice,       ///< posting-list intersection
   kTopK,       ///< ranked-order walk
   kRollup,     ///< parent adjacency / probes
   kDrilldown,  ///< child adjacency / probes
-  kScan,       ///< SURPRISES / REVERSALS: shared pass over the cell array
+  kScan,       ///< SURPRISES / REVERSALS: one pass over the cell array
 };
 
 /// Span name of the index walk a mode performs — the per-verb phase names
@@ -154,8 +153,6 @@ const char* SpanNameFor(Mode mode) {
     case Mode::kSliceSa:
     case Mode::kSliceCa:
       return "walk.slice";
-    case Mode::kSliceAll:
-      return "walk.all";
     case Mode::kDice:
       return "walk.dice";
     case Mode::kTopK:
@@ -172,22 +169,20 @@ const char* SpanNameFor(Mode mode) {
 
 struct Prepared {
   const Query* query = nullptr;
-  Status error;       ///< resolution failure, reported at finalise time
   fpm::Itemset sa;    ///< resolved SA constraint items
   fpm::Itemset ca;    ///< resolved CA constraint items
   Mode mode = Mode::kPoint;
   cube::ExplorerOptions explorer;  ///< analytic-verb filters, precomputed
-  std::vector<cube::SurpriseFinding> surprises;      ///< shared-pass hits
-  std::vector<cube::GranularityReversal> reversals;  ///< shared-pass hits
 };
 
 Mode ClassifyQuery(const Query& q) {
   switch (q.verb) {
     case Verb::kSlice:
-      if (!q.sa.empty() && !q.ca.empty()) return Mode::kPoint;
-      if (!q.sa.empty()) return Mode::kSliceSa;
-      if (!q.ca.empty()) return Mode::kSliceCa;
-      return Mode::kSliceAll;
+      if (q.ca.empty() && !q.sa.empty()) return Mode::kSliceSa;
+      if (q.sa.empty() && !q.ca.empty()) return Mode::kSliceCa;
+      // Both axes address one cell; neither (only a hand-built Query — the
+      // parser demands coordinates) addresses the root cell.
+      return Mode::kPoint;
     case Verb::kDice:
       return Mode::kDice;
     case Verb::kTopK:
@@ -201,41 +196,6 @@ Mode ClassifyQuery(const Query& q) {
       return Mode::kScan;
   }
   return Mode::kPoint;
-}
-
-/// One shared pass over the cell array for the analytic queries in
-/// `scans`. Each cell is evaluated against each SURPRISES/REVERSALS query
-/// via the view's precomputed parent/child adjacency (the explorer's
-/// per-cell evaluators) — B analytic queries walk the cube once, not B
-/// times. Returns false when the deadline expired mid-scan.
-bool RunSharedScan(const cube::CubeView& view,
-                   const std::vector<Prepared*>& scans,
-                   const QueryContext& ctx) {
-  DeadlineTicker ticker(ctx, kDeadlineStride);
-  const size_t n = view.NumCells();
-  for (cube::CubeView::CellId id = 0; id < n; ++id) {
-    if (ticker.Tick()) return false;
-    // Ghost cells (shard replicas of cells owned elsewhere) are never
-    // analytic candidates — their owning shard reports them — but they
-    // stay in the view's adjacency, serving as comparison baselines for
-    // the owned cells evaluated here.
-    if (view.cell(id).ghost) continue;
-    for (Prepared* p : scans) {
-      const Query& q = *p->query;
-      if (q.verb == Verb::kSurprises) {
-        if (auto finding = cube::EvaluateSurprise(view, id, q.by, q.threshold,
-                                                  p->explorer)) {
-          p->surprises.push_back(*finding);
-        }
-      } else {
-        if (auto reversal = cube::EvaluateReversal(view, id, q.by,
-                                                   q.threshold, p->explorer)) {
-          p->reversals.push_back(std::move(*reversal));
-        }
-      }
-    }
-  }
-  return true;
 }
 
 /// Pages the unpaginated row stream into a sink: skips `offset` rows,
@@ -294,8 +254,9 @@ class Pager {
 /// merge-key stitching sound. `keys` (QueryContext::merge_keys) stamps
 /// each row with its order-preserving merge key (query/merge_key.h).
 template <typename Feed>
-Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
-                bool keys, uint64_t* scanned, Feed&& feed) {
+Status WalkRows(const cube::CubeView& view, const Prepared& p,
+                DeadlineTicker& ticker, bool keys, uint64_t* scanned,
+                Feed&& feed) {
   const Query& q = *p.query;
   auto expired = [] {
     return Status::DeadlineExceeded(
@@ -326,24 +287,6 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
         const cube::CubeCell& cell = view.cell(id);
         if (cell.ghost) continue;
         if (PassesWhere(cell, q) && !feed([&] {
-              ResultRow row = MakeRow(view, cell);
-              if (keys) AppendCoordKey(cell.coords, &row.skey);
-              return row;
-            })) {
-          break;
-        }
-      }
-      return Status::OK();
-    }
-
-    case Mode::kSliceAll: {
-      // Hand-constructed SLICE with no coordinates: every cell (the
-      // legacy shared-scan behaviour; unreachable through the parser).
-      for (const cube::CubeCell& cell : view.Cells()) {
-        ++*scanned;
-        if (ticker.Tick()) return expired();
-        if (cell.ghost) continue;
-        if (!feed([&] {
               ResultRow row = MakeRow(view, cell);
               if (keys) AppendCoordKey(cell.coords, &row.skey);
               return row;
@@ -438,12 +381,32 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
     }
 
     case Mode::kScan: {
-      // Findings come pre-computed from the shared pass; the row stream is
-      // their sorted order.
-      *scanned = view.NumCells();
+      // One pass over the cell array, evaluating every cell through the
+      // view's parent/child adjacency (the explorer's per-cell
+      // evaluators); the row stream is the findings in sorted order.
+      // Ghost cells (shard replicas of cells owned elsewhere) are never
+      // candidates — their owning shard reports them — but they stay in
+      // the adjacency, serving as comparison baselines for owned cells.
+      auto scan = [&](auto evaluate, auto* findings) {
+        const size_t n = view.NumCells();
+        for (cube::CubeView::CellId id = 0; id < n; ++id) {
+          ++*scanned;
+          if (ticker.Tick()) return false;
+          if (view.cell(id).ghost) continue;
+          if (auto found = evaluate(id)) findings->push_back(std::move(*found));
+        }
+        return true;
+      };
       if (q.verb == Verb::kSurprises) {
-        cube::SortSurprises(&p.surprises);
-        for (const cube::SurpriseFinding& f : p.surprises) {
+        std::vector<cube::SurpriseFinding> surprises;
+        if (!scan([&](cube::CubeView::CellId id) {
+              return cube::EvaluateSurprise(view, id, q.by, q.threshold,
+                                            p.explorer);
+            }, &surprises)) {
+          return expired();
+        }
+        cube::SortSurprises(&surprises);
+        for (const cube::SurpriseFinding& f : surprises) {
           bool keep = feed([&] {
             ResultRow row = MakeRow(view, *f.cell);
             row.value = f.value;
@@ -458,8 +421,15 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
           if (!keep) break;
         }
       } else {
-        cube::SortReversals(&p.reversals);
-        for (const cube::GranularityReversal& r : p.reversals) {
+        std::vector<cube::GranularityReversal> reversals;
+        if (!scan([&](cube::CubeView::CellId id) {
+              return cube::EvaluateReversal(view, id, q.by, q.threshold,
+                                            p.explorer);
+            }, &reversals)) {
+          return expired();
+        }
+        cube::SortReversals(&reversals);
+        for (const cube::GranularityReversal& r : reversals) {
           bool keep = feed([&] {
             ResultRow row = MakeRow(view, *r.parent);
             row.value = r.parent_value;
@@ -487,7 +457,7 @@ Status WalkRows(const cube::CubeView& view, Prepared& p, DeadlineTicker& ticker,
 
 /// Streams one prepared query into a sink: Begin, the page's rows, and
 /// pagination accounting. Never calls sink.Finish (see ExecuteToSink).
-Status EmitPrepared(const cube::CubeView& view, Prepared& p,
+Status EmitPrepared(const cube::CubeView& view, const Prepared& p,
                     const QueryContext& ctx, RowSink& sink,
                     StreamStats* stats) {
   const Query& q = *p.query;
@@ -592,22 +562,16 @@ Result<fpm::Itemset> Executor::ResolveItems(
 namespace {
 
 /// Resolves one query's coordinates and classifies its index path.
-Prepared PrepareQuery(const Executor& executor, const Query& query) {
+Result<Prepared> PrepareQuery(const Executor& executor, const Query& query) {
   Prepared p;
   p.query = &query;
   auto sa = executor.ResolveItems(query.sa,
                                   relational::AttributeKind::kSegregation);
-  if (!sa.ok()) {
-    p.error = sa.status();
-    return p;
-  }
+  if (!sa.ok()) return sa.status();
   p.sa = std::move(sa).value();
   auto ca = executor.ResolveItems(query.ca,
                                   relational::AttributeKind::kContext);
-  if (!ca.ok()) {
-    p.error = ca.status();
-    return p;
-  }
+  if (!ca.ok()) return ca.status();
   p.ca = std::move(ca).value();
   p.explorer = ExplorerOptionsFor(query);
   p.mode = ClassifyQuery(query);
@@ -616,11 +580,6 @@ Prepared PrepareQuery(const Executor& executor, const Query& query) {
 
 }  // namespace
 
-Result<QueryResult> Executor::Execute(const Query& query,
-                                      const QueryContext& ctx) const {
-  return std::move(ExecuteBatch({query}, ctx)[0]);
-}
-
 Status Executor::ExecuteToSink(const Query& query, const QueryContext& ctx,
                                RowSink& sink, StreamStats* stats) const {
   StreamStats local;
@@ -628,78 +587,14 @@ Status Executor::ExecuteToSink(const Query& query, const QueryContext& ctx,
   *stats = StreamStats{};
 
   trace::Span resolve_span(ctx.trace, "resolve");
-  Prepared p = PrepareQuery(*this, query);
+  Result<Prepared> p = PrepareQuery(*this, query);
   resolve_span.End();
-  if (!p.error.ok()) return p.error;
+  if (!p.ok()) return p.status();
   if (ctx.Expired()) {
     return Status::DeadlineExceeded(
         "query deadline expired before execution completed");
   }
-  if (p.mode == Mode::kScan) {
-    // A lone analytic query still pays one cell pass; batches amortise it
-    // through ExecuteBatch instead.
-    trace::Span scan_span(ctx.trace, "scan.analytic");
-    if (!RunSharedScan(view_, {&p}, ctx)) {
-      return Status::DeadlineExceeded(
-          "query deadline expired before execution completed");
-    }
-  }
-  return EmitPrepared(view_, p, ctx, sink, stats);
-}
-
-std::vector<Result<QueryResult>> Executor::ExecuteBatch(
-    const std::vector<Query>& queries, const QueryContext& ctx) const {
-  // --- prepare: resolve coordinates, classify by index path --------------
-  std::vector<Prepared> prepared(queries.size());
-  std::vector<Prepared*> scans;
-  trace::Span resolve_span(ctx.trace, "resolve");
-  for (size_t i = 0; i < queries.size(); ++i) {
-    prepared[i] = PrepareQuery(*this, queries[i]);
-    if (prepared[i].error.ok() && prepared[i].mode == Mode::kScan) {
-      scans.push_back(&prepared[i]);
-    }
-  }
-  resolve_span.End();
-
-  // --- one shared pass over the cell array for every analytic query ------
-  bool scan_expired = false;
-  if (!scans.empty()) {
-    trace::Span scan_span(ctx.trace, "scan.analytic");
-    scan_expired = !RunSharedScan(view_, scans, ctx);
-  }
-
-  // --- finalise each query, in input order --------------------------------
-  // Every verb now streams: the materialised answer is the stream captured
-  // by a VectorSink, so the batch path and the chunked HTTP path can never
-  // produce different rows.
-  std::vector<Result<QueryResult>> out;
-  out.reserve(queries.size());
-  for (Prepared& p : prepared) {
-    if (!p.error.ok()) {
-      out.push_back(p.error);
-      continue;
-    }
-    // Statement boundary: queries finalised before the deadline keep their
-    // results; the rest of the batch is abandoned cooperatively.
-    if ((p.mode == Mode::kScan && scan_expired) || ctx.Expired()) {
-      out.push_back(Status::DeadlineExceeded(
-          "query deadline expired before execution completed"));
-      continue;
-    }
-    VectorSink sink;
-    StreamStats stats;
-    Status status = EmitPrepared(view_, p, ctx, sink, &stats);
-    if (!status.ok()) {
-      out.push_back(status);
-      continue;
-    }
-    ResultTrailer trailer;
-    trailer.cells_scanned = stats.cells_scanned;
-    sink.Finish(trailer);
-    sink.SetPagination(stats.exhausted, stats.next_offset);
-    out.push_back(sink.TakeResult());
-  }
-  return out;
+  return EmitPrepared(view_, *p, ctx, sink, stats);
 }
 
 }  // namespace query

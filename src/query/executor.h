@@ -4,20 +4,20 @@
 // secondary indexes:
 //
 //   SLICE     exact-coordinate slice groups (hash lookup -> id span), or a
-//             single point lookup when both axes are given,
+//             single point lookup when both axes (or neither: the root
+//             cell) are given,
 //   DICE      posting-list intersection over the per-item inverted lists,
 //   TOPK      a walk of the view's precomputed ranked order,
 //   ROLLUP /
 //   DRILLDOWN parent/child adjacency lists (coordinate probes when the
 //             addressed cell is absent from the cube),
 //   SURPRISES /
-//   REVERSALS one shared pass over the dense cell array, evaluating every
-//             such query per cell via the adjacency lists (the explorer's
-//             per-cell evaluators) — with B such queries the cube is
-//             walked once, not B times.
+//   REVERSALS one pass over the dense cell array per query, evaluating
+//             each cell via the adjacency lists (the explorer's per-cell
+//             evaluators).
 //
-// No verb scans the full cube per call except the shared analytic pass,
-// and that pass is amortised across the batch.
+// Only the analytic verbs scan the full cube, and each analytic query
+// makes its own cell pass.
 
 #ifndef SCUBE_QUERY_EXECUTOR_H_
 #define SCUBE_QUERY_EXECUTOR_H_
@@ -63,8 +63,8 @@ struct StreamStats {
   uint64_t cells_scanned = 0;
 };
 
-/// The ORDER BY sort, shared between the executor's materialised path
-/// and the scatter-gather router: a router re-sorting the merged global
+/// The ORDER BY sort, shared between the executor's ordered walk and the
+/// scatter-gather router: a router re-sorting the merged global
 /// TOPK selection must use the exact comparator (stable, undefined cells
 /// last under index keys) or sharded output drifts from single-node.
 void SortRows(const OrderBy& order, std::vector<ResultRow>* rows);
@@ -76,10 +76,6 @@ void SortRows(const OrderBy& order, std::vector<ResultRow>* rows);
 class Executor {
  public:
   explicit Executor(const cube::CubeView& view);
-
-  /// Executes one query.
-  Result<QueryResult> Execute(const Query& query,
-                              const QueryContext& ctx = {}) const;
 
   /// Executes one query, pushing rows into `sink` as the index walks
   /// produce them (O(1) result memory for unordered verbs). The page is
@@ -97,16 +93,6 @@ class Executor {
   /// candidates, not just at statement boundaries).
   Status ExecuteToSink(const Query& query, const QueryContext& ctx,
                        RowSink& sink, StreamStats* stats = nullptr) const;
-
-  /// Executes a batch, sharing one cell pass across the analytic
-  /// (SURPRISES/REVERSALS) queries. result[i] answers queries[i].
-  ///
-  /// The context's deadline is checked cooperatively at batch-statement
-  /// boundaries and every few thousand cells inside the shared scan:
-  /// queries not finalised before expiry return DeadlineExceeded (queries
-  /// finalised earlier in the same batch keep their results).
-  std::vector<Result<QueryResult>> ExecuteBatch(
-      const std::vector<Query>& queries, const QueryContext& ctx = {}) const;
 
   /// Resolves attribute=value constraints into an itemset of the given
   /// kind. NotFound for unknown attributes/values, InvalidArgument when a

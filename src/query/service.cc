@@ -71,6 +71,14 @@ class CachingTee : public RowSink {
   bool cacheable_ = true;
 };
 
+/// Takes a stream and drops it: warming wants only the cache tee's copy.
+class DiscardSink : public RowSink {
+ public:
+  bool Begin(const ResultHeader&) override { return true; }
+  bool Row(const ResultRow&) override { return true; }
+  void Finish(const ResultTrailer&) override {}
+};
+
 }  // namespace
 
 QueryService::QueryService(CubeStore* store, ServiceOptions options)
@@ -246,55 +254,59 @@ StreamOutcome QueryService::ExecuteStreaming(
   }
 
   // --- execute on the caller's thread, streaming as the walks produce ----
-  const bool try_cache =
-      cursor.empty() && options_.cache_capacity > 0;
+  return finish(ExecuteAndCache(snapshot, query, query_hash, context,
+                                /*cache=*/cursor.empty(), sink, &outcome));
+}
+
+Status QueryService::ExecuteAndCache(const CubeStore::Snapshot& snapshot,
+                                     const Query& query, uint64_t query_hash,
+                                     const QueryContext& ctx, bool cache,
+                                     RowSink& sink, StreamOutcome* outcome,
+                                     bool* cached) {
+  const bool try_cache = cache && options_.cache_capacity > 0;
   CachingTee tee(sink, options_.cache_max_rows);
   RowSink& target = try_cache ? static_cast<RowSink&>(tee) : sink;
 
   WallTimer timer;
   std::shared_ptr<const Executor> executor =
-      store_->GetExecutor(outcome.cube, version);
+      store_->GetExecutor(outcome->cube, outcome->cube_version);
   if (executor == nullptr) {
     // The version was evicted between snapshot resolution and here (or the
     // snapshot came from a cursor pin that outlived retention).
     executor = std::make_shared<const Executor>(*snapshot);
   }
   StreamStats stats;
-  trace::Span execute_span(context.trace, "execute");
-  Status status = executor->ExecuteToSink(query, context, target, &stats);
+  trace::Span execute_span(ctx.trace, "execute");
+  Status status = executor->ExecuteToSink(query, ctx, target, &stats);
   execute_span.End();
-  outcome.exec_ms = timer.Millis();
-  outcome.begun = stats.begun;
-  outcome.rows = stats.rows_emitted;
-  outcome.cells_scanned = stats.cells_scanned;
+  outcome->exec_ms = timer.Millis();
+  outcome->begun = stats.begun;
+  outcome->rows = stats.rows_emitted;
+  outcome->cells_scanned = stats.cells_scanned;
 
+  ResultTrailer trailer;
+  trailer.cells_scanned = stats.cells_scanned;
   if (!status.ok()) {
     // A stream that failed after Begin (deadline mid-walk) is still closed
     // properly — the writer can terminate its output — but never gets a
     // resume cursor and never enters the cache.
-    if (stats.begun) {
-      ResultTrailer trailer;
-      trailer.cells_scanned = stats.cells_scanned;
-      target.Finish(trailer);
-    }
-    return finish(std::move(status));
+    if (stats.begun) target.Finish(trailer);
+    return status;
   }
-
-  ResultTrailer trailer;
-  trailer.cells_scanned = stats.cells_scanned;
   if (!stats.exhausted && !stats.aborted) {
-    trailer.next_cursor = EncodeCursor(
-        Cursor{outcome.cube, version, stats.next_offset, query_hash});
+    trailer.next_cursor = EncodeCursor(Cursor{
+        outcome->cube, outcome->cube_version, stats.next_offset, query_hash});
   }
-  outcome.next_cursor = trailer.next_cursor;
+  outcome->next_cursor = trailer.next_cursor;
   target.Finish(trailer);
 
   if (try_cache && !stats.aborted && tee.cacheable()) {
     tee.collected().SetPagination(stats.exhausted, stats.next_offset);
-    cache_.Put(outcome.cube, version, outcome.canonical,
+    cache_.Put(outcome->cube, outcome->cube_version, outcome->canonical,
                tee.collected().TakeResult());
+    if (cached != nullptr) *cached = true;
   }
-  return finish(Status::OK());
+  return Status::OK();
 }
 
 QueryService::PublishInfo QueryService::PublishAndWarm(
@@ -325,37 +337,28 @@ QueryService::PublishInfo QueryService::PublishAndWarm(
     return info;
   }
 
-  std::vector<Query> queries;
-  std::vector<std::string> canonicals;
+  // Warming runs on the publisher's thread, outside admission control and
+  // with no deadline: it cannot be shed by the very overload it exists to
+  // soften. Each text goes through the live miss path's cache rule into a
+  // discarding sink, so an answer the live path would not cache (over
+  // cache_max_rows) is not warmed either. Each analytic text makes its own
+  // cell pass.
+  trace::Span warm_span(&tc, "warm");
   for (const std::string& text : hottest) {
     auto parsed = Parse(text);
     if (!parsed.ok()) continue;
-    Query q = std::move(parsed).value();
     // Version-pinned texts target their old snapshot, not the new one.
-    if (q.cube_version) continue;
-    canonicals.push_back(Canonical(q));
-    queries.push_back(std::move(q));
-  }
-  if (queries.empty()) {
-    log_summary();
-    return info;
-  }
-
-  // Warming runs on the publisher's thread, outside admission control: it
-  // cannot be shed by the very overload it exists to soften. The batch
-  // shares one scan across the warmed texts.
-  trace::Span warm_span(&tc, "warm");
-  std::shared_ptr<const Executor> executor =
-      store_->GetExecutor(name, info.version);
-  if (executor == nullptr) {
-    executor = std::make_shared<const Executor>(*snapshot);
-  }
-  auto results = executor->ExecuteBatch(queries);
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) continue;
-    cache_.Put(name, info.version, canonicals[i],
-               std::move(results[i]).value());
-    ++info.warmed;
+    if (parsed->cube_version) continue;
+    StreamOutcome outcome;
+    outcome.cube = name;
+    outcome.cube_version = info.version;
+    outcome.canonical = Canonical(*parsed);
+    DiscardSink discard;
+    bool cached = false;
+    Status status = ExecuteAndCache(snapshot, *parsed,
+                                    CursorQueryHash(*parsed), QueryContext{},
+                                    /*cache=*/true, discard, &outcome, &cached);
+    if (status.ok() && cached) ++info.warmed;
   }
   warm_span.End();
   log_summary();

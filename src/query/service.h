@@ -113,11 +113,12 @@ class QueryService : public QueryBackend {
 
   /// Publishes `cube` under `name` and immediately re-executes the
   /// hottest cached query texts for that cube (options().warm_top_n)
-  /// against the fresh snapshot, pre-filling the result cache. Warming
-  /// runs on the caller's thread and bypasses admission control — the
-  /// publisher pays for it, traffic is not displaced. Version-pinned
-  /// texts (`FROM name@v`) are skipped: they do not target the new
-  /// version.
+  /// against the fresh snapshot, pre-filling the result cache under the
+  /// live path's rule (an answer over options().cache_max_rows rows is
+  /// not warmed). Warming runs on the caller's thread and bypasses
+  /// admission control — the publisher pays for it, traffic is not
+  /// displaced. Version-pinned texts (`FROM name@v`) are skipped: they do
+  /// not target the new version.
   PublishInfo PublishAndWarm(const std::string& name,
                              cube::SegregationCube cube);
 
@@ -148,6 +149,20 @@ class QueryService : public QueryBackend {
 
   /// Applies the configured default deadline to contexts carrying none.
   QueryContext WithDefaultDeadline(const QueryContext& ctx) const;
+
+  /// The one rule for what enters the result cache, shared by the live
+  /// miss path and PublishAndWarm. Runs `query` against `snapshot`
+  /// (outcome->cube at outcome->cube_version) into `sink` and finishes the
+  /// stream, filling outcome's begun, rows, cells_scanned, next_cursor and
+  /// exec_ms. With `cache` (and a non-zero cache capacity) the rows also
+  /// flow through a CachingTee, and the answer is Put under
+  /// outcome->canonical only when the stream succeeded, was not aborted and
+  /// stayed within options().cache_max_rows rows; `cached` (if given) is
+  /// set when it was.
+  Status ExecuteAndCache(const CubeStore::Snapshot& snapshot,
+                         const Query& query, uint64_t query_hash,
+                         const QueryContext& ctx, bool cache, RowSink& sink,
+                         StreamOutcome* outcome, bool* cached = nullptr);
 
   CubeStore* store_;
   ServiceOptions options_;

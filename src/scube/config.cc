@@ -1,6 +1,9 @@
 #include "scube/config.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
+#include "fpm/registry.h"
 
 namespace scube {
 namespace pipeline {
@@ -97,6 +100,12 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     return parse_u32(&config->cube.max_ca_items);
   }
   if (key == "cube.miner") {
+    const std::vector<std::string> names = fpm::MinerNames();
+    if (std::find(names.begin(), names.end(), value) == names.end()) {
+      return Status::InvalidArgument("cube.miner must be one of " +
+                                     Join(names, ", ") + " (got '" + value +
+                                     "')");
+    }
     config->cube.miner = value;
     return Status::OK();
   }

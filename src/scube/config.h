@@ -33,7 +33,7 @@ namespace pipeline {
 ///   cube.min_support_fraction  <double>
 ///   cube.max_sa_items      <integer>
 ///   cube.max_ca_items      <integer>
-///   cube.miner             fpgrowth | eclat | apriori | brute-force
+///   cube.miner             fpgrowth | eclat | brute-force
 ///   cube.mode              all | closed | maximal
 ///   cube.atkinson_b        <double in (0,1)>
 ///   cube.num_threads       <integer, 1 = sequential, 0 = all hardware>

@@ -285,7 +285,7 @@ TEST(CubeBuilderTest, AllMinerEnginesAgree) {
   auto base = AllCellsOptions();
   auto reference = BuildSegregationCube(t, base);
   ASSERT_TRUE(reference.ok());
-  for (const char* engine : {"eclat", "apriori", "brute-force"}) {
+  for (const char* engine : {"eclat", "brute-force"}) {
     auto opts = base;
     opts.miner = engine;
     auto cube = BuildSegregationCube(t, opts);

@@ -186,8 +186,7 @@ TEST_P(AllEnginesTest, EmptyDatabase) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, AllEnginesTest,
-                         ::testing::Values("fpgrowth", "eclat", "apriori",
-                                           "brute-force"));
+                         ::testing::Values("fpgrowth", "eclat", "brute-force"));
 
 // ---------------------------------------------------------------------------
 // Randomized equivalence sweep: every engine x every mode must match the
@@ -225,7 +224,7 @@ TEST_P(EquivalenceSweep, EnginesMatchBruteForce) {
     BruteForceMiner reference;
     auto expected = reference.Mine(db, opts);
     ASSERT_TRUE(expected.ok());
-    for (const char* name : {"fpgrowth", "eclat", "apriori"}) {
+    for (const char* name : {"fpgrowth", "eclat"}) {
       auto miner = MakeMiner(name);
       ASSERT_TRUE(miner.ok());
       auto actual = miner.value()->Mine(db, opts);

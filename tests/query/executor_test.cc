@@ -50,10 +50,24 @@ cube::CubeView MakeView() {
   return std::move(cube).Seal();
 }
 
+// Materialises one answer: the stream collected by a VectorSink, finished
+// with the scan count and paginated as the serving layer does.
+Result<QueryResult> Execute(const Executor& executor, const Query& query) {
+  VectorSink sink;
+  StreamStats stats;
+  Status status = executor.ExecuteToSink(query, {}, sink, &stats);
+  if (!status.ok()) return status;
+  ResultTrailer trailer;
+  trailer.cells_scanned = stats.cells_scanned;
+  sink.Finish(trailer);
+  sink.SetPagination(stats.exhausted, stats.next_offset);
+  return sink.TakeResult();
+}
+
 QueryResult MustExecute(const Executor& executor, const std::string& text) {
   auto query = Parse(text);
   EXPECT_TRUE(query.ok()) << text << " -> " << query.status();
-  auto result = executor.Execute(*query);
+  auto result = Execute(executor, *query);
   EXPECT_TRUE(result.ok()) << text << " -> " << result.status();
   return result.ok() ? std::move(result).value() : QueryResult{};
 }
@@ -82,6 +96,21 @@ TEST(ExecutorTest, SliceBothAxesIsPointLookup) {
   QueryResult missing =
       MustExecute(executor, "SLICE sa=age=young | ca=region=south");
   EXPECT_TRUE(missing.rows.empty());
+}
+
+TEST(ExecutorTest, SliceWithoutCoordinatesIsRootLookup) {
+  // The parser demands coordinates, but Query::sa/ca are public fields:
+  // a SLICE that names neither axis addresses the root cell.
+  cube::CubeView view = MakeView();
+  Executor executor(view);
+  Query q = *Parse("SLICE sa=sex=F");
+  q.sa.clear();
+  auto result = Execute(executor, q);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows[0].sa, "*");
+  EXPECT_EQ(result->rows[0].ca, "*");
+  EXPECT_EQ(result->cells_scanned, 1u);
 }
 
 TEST(ExecutorTest, DiceSelectsSubcube) {
@@ -141,7 +170,7 @@ TEST(ExecutorTest, TopKZeroReturnsNoRows) {
   Executor executor(view);
   Query q = *Parse("TOPK 1 BY dissimilarity");
   q.k = 0;
-  auto result = executor.Execute(q);
+  auto result = Execute(executor, q);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->rows.empty());
 }
@@ -185,53 +214,22 @@ TEST(ExecutorTest, ResolutionErrors) {
   cube::CubeView view = MakeView();
   Executor executor(view);
 
-  auto unknown_attr = executor.Execute(*Parse("SLICE sa=hair=red"));
+  auto unknown_attr = Execute(executor, *Parse("SLICE sa=hair=red"));
   ASSERT_FALSE(unknown_attr.ok());
   EXPECT_EQ(unknown_attr.status().code(), StatusCode::kNotFound);
   EXPECT_NE(unknown_attr.status().message().find("unknown attribute"),
             std::string::npos);
 
-  auto unknown_value = executor.Execute(*Parse("SLICE sa=sex=X"));
+  auto unknown_value = Execute(executor, *Parse("SLICE sa=sex=X"));
   ASSERT_FALSE(unknown_value.ok());
   EXPECT_NE(unknown_value.status().message().find("unknown value 'X'"),
             std::string::npos);
 
-  auto wrong_axis = executor.Execute(*Parse("SLICE sa=region=north"));
+  auto wrong_axis = Execute(executor, *Parse("SLICE sa=region=north"));
   ASSERT_FALSE(wrong_axis.ok());
   EXPECT_EQ(wrong_axis.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(wrong_axis.status().message().find("context attribute"),
             std::string::npos);
-}
-
-TEST(ExecutorTest, BatchSharedScanMatchesIndividualExecution) {
-  cube::CubeView view = MakeView();
-  Executor executor(view);
-  const char* texts[] = {
-      "SLICE sa=sex=F",
-      "DICE sa=sex=F WHERE M >= 20",
-      "TOPK 3 BY dissimilarity WHERE T >= 1 AND M >= 1",
-      "DRILLDOWN sa=sex=F",
-      "SLICE sa=sex=X",  // resolution error must stay positional
-      "SURPRISES BY dissimilarity MINDELTA 0.15 WHERE T >= 1 AND M >= 1",
-  };
-  std::vector<Query> queries;
-  std::vector<Result<QueryResult>> individual;
-  for (const char* text : texts) {
-    auto q = Parse(text);
-    ASSERT_TRUE(q.ok()) << text;
-    individual.push_back(executor.Execute(*q));
-    queries.push_back(std::move(*q));
-  }
-  auto batched = executor.ExecuteBatch(queries);
-  ASSERT_EQ(batched.size(), individual.size());
-  for (size_t i = 0; i < batched.size(); ++i) {
-    ASSERT_EQ(batched[i].ok(), individual[i].ok()) << texts[i];
-    if (batched[i].ok()) {
-      EXPECT_EQ(ToJson(*batched[i]), ToJson(*individual[i])) << texts[i];
-    } else {
-      EXPECT_EQ(batched[i].status(), individual[i].status()) << texts[i];
-    }
-  }
 }
 
 TEST(ExecutorTest, SerialisationShapes) {

@@ -15,8 +15,10 @@ namespace scube {
 namespace query {
 namespace {
 
-// Small hand-built cube: sex=F (SA), region=north/south (CA).
-cube::SegregationCube MakeCube(double f_north_dissimilarity) {
+// Small hand-built cube: sex=F (SA), region=north/south (CA). The
+// F | south cell is present only `with_south`.
+cube::SegregationCube MakeCube(double f_north_dissimilarity,
+                               bool with_south = true) {
   relational::ItemCatalog catalog;
   using relational::AttributeKind;
   catalog.GetOrAdd(0, "sex", "F", AttributeKind::kSegregation);     // id 0
@@ -40,7 +42,7 @@ cube::SegregationCube MakeCube(double f_north_dissimilarity) {
   cube::SegregationCube cube(std::move(catalog), {"u0", "u1"});
   cube.Insert(make_cell({0}, {}, 100, 40, 0.10));
   cube.Insert(make_cell({0}, {1}, 60, 25, f_north_dissimilarity));
-  cube.Insert(make_cell({0}, {2}, 40, 15, 0.20));
+  if (with_south) cube.Insert(make_cell({0}, {2}, 40, 15, 0.20));
   return cube;
 }
 
@@ -228,6 +230,34 @@ TEST(ServiceWarmingTest, PublishAndWarmPrefillsTheNewVersion) {
   EXPECT_TRUE(warmed.cache_hit);
   EXPECT_EQ(warmed.cube_version, 2u);
   EXPECT_DOUBLE_EQ(warmed.result.rows[0].value, 0.9);
+}
+
+TEST(ServiceWarmingTest, WarmingSkipsAnswersOverCacheMaxRows) {
+  CubeStore store;
+  ServiceOptions options;
+  options.cache_max_rows = 2;
+  QueryService service(&store, options);
+  service.PublishAndWarm("default", MakeCube(0.5, /*with_south=*/false));
+
+  // Two rows at v1: within the limit, so the live path caches it.
+  const std::string text = "SLICE sa=sex=F";
+  auto v1 = service.ExecuteOne(text);
+  ASSERT_TRUE(v1.status.ok()) << v1.status;
+  EXPECT_EQ(v1.result.rows.size(), 2u);
+  EXPECT_TRUE(service.ExecuteOne(text).cache_hit);
+
+  // Three rows at v2: the live path would not cache this answer, so
+  // warming must not either.
+  auto info = service.PublishAndWarm("default", MakeCube(0.5));
+  EXPECT_EQ(info.version, 2u);
+  EXPECT_EQ(info.warmed, 0u);
+
+  auto v2 = service.ExecuteOne(text);
+  ASSERT_TRUE(v2.status.ok()) << v2.status;
+  EXPECT_FALSE(v2.cache_hit);
+  EXPECT_EQ(v2.cube_version, 2u);
+  EXPECT_EQ(v2.result.rows.size(), 3u);
+  EXPECT_FALSE(service.ExecuteOne(text).cache_hit);  // still over the limit
 }
 
 TEST(ServiceWarmingTest, VersionPinnedTextsAreNotWarmed) {

@@ -38,7 +38,7 @@ cube::CubeCell MakeCell(std::vector<fpm::ItemId> sa,
   return cell;
 }
 
-cube::SegregationCube MakeCube() {
+cube::SegregationCube MakeCube(double f_north_dissimilarity = 0.50) {
   relational::ItemCatalog catalog;
   using relational::AttributeKind;
   catalog.GetOrAdd(0, "sex", "F", AttributeKind::kSegregation);      // id 0
@@ -52,7 +52,8 @@ cube::SegregationCube MakeCube() {
   cube.Insert(MakeCell({1}, {}, 100, 30, 0.05));       // young | *
   cube.Insert(MakeCell({0, 1}, {}, 100, 12, 0.30));    // F & young | *
   cube.Insert(MakeCell({}, {2}, 60, 0, 0.0, false));   // * | north
-  cube.Insert(MakeCell({0}, {2}, 60, 25, 0.50));       // F | north
+  cube.Insert(MakeCell({0}, {2}, 60, 25,               // F | north
+                      f_north_dissimilarity));
   cube.Insert(MakeCell({0}, {3}, 40, 15, 0.20));       // F | south
   cube.Insert(MakeCell({1}, {2}, 60, 18, 0.15));       // young | north
   cube.Insert(MakeCell({0, 1}, {2}, 60, 8, 0.70));     // F & young | north
@@ -373,6 +374,69 @@ TEST_F(StreamingEquivalenceTest, OversizedStreamsBypassTheCache) {
   auto hit = service.ExecuteStreaming("SLICE sa=sex=F | ca=region=north",
                                       replay);
   EXPECT_TRUE(hit.cache_hit);
+}
+
+// MakeCube plus young | south, so that young | * joins F | * as a reversal
+// parent and a one-row REVERSALS page has a successor.
+cube::SegregationCube MakeWarmingCube(double f_north_dissimilarity) {
+  cube::SegregationCube cube = MakeCube(f_north_dissimilarity);
+  cube.Insert(MakeCell({1}, {3}, 40, 10, 0.12));  // young | south
+  return cube;
+}
+
+// Publish-time warming fills the cache through the live miss path, so a
+// warmed hit must answer every verb with the bytes a cache-less service
+// streams for the same snapshot — the analytic pages included, down to
+// their resume cursors. F | north differs between v1 and v2, which changes
+// every answer below (values or cursor), so a stale answer would show.
+TEST(WarmingEquivalenceTest, WarmedHitsMatchColdAnswersForEveryVerb) {
+  const std::vector<std::string> texts = {
+      "SLICE sa=sex=F",
+      "DICE sa=sex=F LIMIT 2",
+      "ROLLUP sa=sex=F & age=young | ca=region=north",
+      "DRILLDOWN sa=sex=F",
+      "TOPK 3 BY dissimilarity WHERE T >= 1 AND M >= 1",
+      "SURPRISES BY dissimilarity MINDELTA 0.05 WHERE T >= 1 AND M >= 1 "
+      "LIMIT 1",
+      "REVERSALS MINGAP 0.05 WHERE T >= 1 AND M >= 1 LIMIT 1",
+  };
+  CubeStore warm_store;
+  ServiceOptions warm_options;
+  warm_options.warm_top_n = texts.size();
+  QueryService warm(&warm_store, warm_options);
+  warm.PublishAndWarm("default", MakeWarmingCube(0.50));
+  for (const std::string& text : texts) StreamJson(&warm, text);
+  auto info = warm.PublishAndWarm("default", MakeWarmingCube(0.45));
+  ASSERT_EQ(info.version, 2u);
+  ASSERT_EQ(info.warmed, texts.size());
+
+  CubeStore cold_store;
+  cold_store.Publish("default", MakeWarmingCube(0.50));
+  cold_store.Publish("default", MakeWarmingCube(0.45));
+  ServiceOptions cold_options;
+  cold_options.cache_capacity = 0;
+  QueryService cold(&cold_store, cold_options);
+
+  for (const std::string& text : texts) {
+    StreamOutcome hit, miss;
+    const std::string warmed = StreamJson(&warm, text, &hit);
+    const std::string fresh = StreamJson(&cold, text, &miss);
+    EXPECT_TRUE(hit.cache_hit) << text;
+    EXPECT_FALSE(miss.cache_hit) << text;
+    EXPECT_EQ(warmed, fresh) << text;
+    // Every outcome field but cache_hit and exec_ms.
+    EXPECT_EQ(hit.canonical, miss.canonical) << text;
+    EXPECT_EQ(hit.verb, miss.verb) << text;
+    EXPECT_EQ(hit.cube_version, miss.cube_version) << text;
+    EXPECT_EQ(hit.begun, miss.begun) << text;
+    EXPECT_EQ(hit.rows, miss.rows) << text;
+    EXPECT_EQ(hit.cells_scanned, miss.cells_scanned) << text;
+    EXPECT_EQ(hit.next_cursor, miss.next_cursor) << text;
+    if (hit.verb == "SURPRISES" || hit.verb == "REVERSALS") {
+      EXPECT_EQ(hit.rows, 1u) << text;
+      EXPECT_FALSE(hit.next_cursor.empty()) << text;  // a later page exists
+    }
+  }
 }
 
 }  // namespace

@@ -81,6 +81,19 @@ TEST(ConfigTest, RejectsBadValues) {
   EXPECT_FALSE(ParsePipelineConfig("cube.num_threads = many\n").ok());
 }
 
+TEST(ConfigTest, RejectsUnknownMinerAtParseTime) {
+  // A config naming an unregistered engine fails while parsing, not later
+  // when the cube build looks the engine up.
+  auto config = ParsePipelineConfig("cube.miner = apriori\n");
+  ASSERT_FALSE(config.ok());
+  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(config.status().message().find(
+                "cube.miner must be one of fpgrowth, eclat, brute-force "
+                "(got 'apriori')"),
+            std::string::npos)
+      << config.status();
+}
+
 TEST(ConfigTest, ErrorsCarryLineNumbers) {
   auto config = ParsePipelineConfig("date = 2000\nbad_key = 1\n");
   ASSERT_FALSE(config.ok());
