@@ -8,8 +8,9 @@
 // The Indexed-vs-scan section pits each CubeView secondary index against
 // the naive full-scan it replaced, side by side on the same sealed cube:
 // slice groups vs coordinate scans, posting-list dice vs subset scans,
-// ranked-order top-k vs filter+sort, adjacency surprises vs per-cell hash
-// probes, adjacency reversals vs the O(cells^2) children scan.
+// ranked-order top-k vs filter+sort. SURPRISES and REVERSALS compare the
+// executor's findings-list prefix walk with its per-query cell scan, at
+// LIMIT 10 and over the whole answer.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +26,9 @@
 #include "cube/explorer.h"
 #include "datagen/scenarios.h"
 #include "query/cube_store.h"
+#include "query/executor.h"
+#include "query/parser.h"
+#include "query/row_sink.h"
 #include "query/service.h"
 #include "scube/pipeline.h"
 
@@ -229,116 +233,95 @@ void BM_TopK(benchmark::State& state) {
 }
 BENCHMARK(BM_TopK)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
-// SURPRISES: adjacency-list parent walks vs per-cell hash probes.
-void BM_Surprises(benchmark::State& state) {
-  const cube::CubeView& view = View();
-  cube::ExplorerOptions options;
-  bool indexed = state.range(0) == 1;
-  size_t findings = 0;
-  for (auto _ : state) {
-    if (indexed) {
-      auto out = cube::DrillDownSurprises(
-          view, indexes::IndexKind::kDissimilarity, 0.05, options);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
-    } else {
-      std::vector<cube::SurpriseFinding> out;
-      for (const cube::CubeCell& cell : view.Cells()) {
-        if (!cube::PassesExplorerFilters(cell, options)) continue;
-        if (cell.coords.sa.empty() && cell.coords.ca.empty()) continue;
-        double best = 0.0;
-        bool any = false;
-        auto consider = [&](const cube::CubeCell* parent) {
-          if (parent == nullptr || !parent->indexes.defined ||
-              parent->coords.sa.empty()) {
-            return;
-          }
-          any = true;
-          best = std::max(
-              best, parent->Value(indexes::IndexKind::kDissimilarity));
-        };
-        for (fpm::ItemId item : cell.coords.sa.items()) {
-          consider(view.Find(cell.coords.sa.Minus(fpm::Itemset({item})),
-                             cell.coords.ca));
-        }
-        for (fpm::ItemId item : cell.coords.ca.items()) {
-          consider(view.Find(cell.coords.sa,
-                             cell.coords.ca.Minus(fpm::Itemset({item}))));
-        }
-        if (!any) continue;
-        double delta =
-            cell.Value(indexes::IndexKind::kDissimilarity) - best;
-        if (delta >= 0.05) {
-          out.push_back(cube::SurpriseFinding{
-              &cell, cell.Value(indexes::IndexKind::kDissimilarity), best,
-              delta});
-        }
-      }
-      cube::SortSurprises(&out);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
+// The analytic benches run on a cube shaped like the one perfbench's
+// explore workload serves (Italian scale 0.005, director-network
+// clusters as units, all itemsets, SA <= 3 and CA <= 2 items): the
+// Store() cube above holds no granularity reversals.
+const cube::CubeView& AnalyticView() {
+  static const cube::CubeView* view = [] {
+    auto s = datagen::GenerateScenario(datagen::ItalianConfig(0.005, 1));
+    if (!s.ok()) {
+      std::fprintf(stderr, "scenario: %s\n", s.status().ToString().c_str());
+      std::abort();
     }
-  }
-  state.SetLabel(indexed ? "adjacency" : "hash-probe");
-  state.counters["findings"] = static_cast<double>(findings);
+    pipeline::PipelineConfig config;
+    config.unit_source = pipeline::UnitSource::kGroupClusters;
+    config.method = pipeline::ClusterMethod::kThreshold;
+    config.threshold.min_weight = 2.0;
+    config.cube.min_support = 20;
+    config.cube.mode = fpm::MineMode::kAll;
+    config.cube.max_sa_items = 3;
+    config.cube.max_ca_items = 2;
+    auto result = pipeline::RunPipeline(s->inputs, config);
+    if (!result.ok()) {
+      std::fprintf(stderr, "pipeline: %s\n",
+                   result.status().ToString().c_str());
+      std::abort();
+    }
+    return new cube::CubeView(std::move(result->cube).Seal(1));
+  }();
+  return *view;
 }
-BENCHMARK(BM_Surprises)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
-// REVERSALS: adjacency children vs a full scan per parent (O(cells^2)).
-void BM_Reversals(benchmark::State& state) {
-  const cube::CubeView& view = View();
-  cube::ExplorerOptions options;
-  bool indexed = state.range(0) == 1;
-  size_t findings = 0;
-  for (auto _ : state) {
-    if (indexed) {
-      auto out = cube::FindGranularityReversals(
-          view, indexes::IndexKind::kDissimilarity, 0.05, options);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
-    } else {
-      std::vector<cube::GranularityReversal> out;
-      for (const cube::CubeCell& parent : view.Cells()) {
-        if (!cube::PassesExplorerFilters(parent, options)) continue;
-        std::vector<const cube::CubeCell*> children;
-        for (const cube::CubeCell& child : view.Cells()) {  // the old scan
-          if (child.coords.sa == parent.coords.sa &&
-              child.coords.ca.size() == parent.coords.ca.size() + 1 &&
-              parent.coords.ca.IsSubsetOf(child.coords.ca) &&
-              child.indexes.defined &&
-              child.context_size >= options.min_context_size &&
-              child.minority_size >= options.min_minority_size) {
-            children.push_back(&child);
-          }
-        }
-        if (children.size() < 2) continue;
-        double pv = parent.Value(indexes::IndexKind::kDissimilarity);
-        bool all_above = true, all_below = true;
-        double min_child = 1e300, max_child = -1e300;
-        for (const cube::CubeCell* child : children) {
-          double v = child->Value(indexes::IndexKind::kDissimilarity);
-          min_child = std::min(min_child, v);
-          max_child = std::max(max_child, v);
-          if (v < pv + 0.05) all_above = false;
-          if (v > pv - 0.05) all_below = false;
-        }
-        if (all_above) {
-          out.push_back(cube::GranularityReversal{&parent, children, pv,
-                                                  min_child, true});
-        } else if (all_below) {
-          out.push_back(cube::GranularityReversal{&parent, children, pv,
-                                                  max_child, false});
-        }
-      }
-      cube::SortReversals(&out);
-      findings = out.size();
-      benchmark::DoNotOptimize(out);
-    }
+// Counts rows; the analytic benches measure the walk, not a serializer.
+class CountingSink : public query::RowSink {
+ public:
+  bool Begin(const query::ResultHeader&) override { return true; }
+  bool Row(const query::ResultRow&) override {
+    ++rows_;
+    return true;
   }
-  state.SetLabel(indexed ? "adjacency" : "full-scan");
-  state.counters["findings"] = static_cast<double>(findings);
+  void Finish(const query::ResultTrailer&) override {}
+  uint64_t rows() const { return rows_; }
+
+ private:
+  uint64_t rows_ = 0;
+};
+
+// SURPRISES / REVERSALS through the executor: a prefix walk of the view's
+// seal-time findings list (range(0) = 1) vs the per-query scan of every
+// cell with the explorer's evaluators (range(0) = 0), at LIMIT 10
+// (range(1) = 10) or over the whole answer (range(1) = 0).
+void AnalyticBench(benchmark::State& state, const std::string& statement) {
+  const cube::CubeView& view = AnalyticView();
+  const bool lists = state.range(0) == 1;
+  const query::Executor executor(
+      view, query::ExecutorOptions{.use_findings_lists = lists});
+  std::string text = statement;
+  if (state.range(1) > 0) text += " LIMIT " + std::to_string(state.range(1));
+  auto parsed = query::Parse(text);
+  if (!parsed.ok()) {
+    state.SkipWithError(parsed.status().ToString().c_str());
+    return;
+  }
+  query::StreamStats stats;
+  uint64_t rows = 0;
+  for (auto _ : state) {
+    CountingSink sink;
+    benchmark::DoNotOptimize(
+        executor.ExecuteToSink(*parsed, {}, sink, &stats).ok());
+    rows = sink.rows();
+  }
+  state.SetLabel(std::string(lists ? "findings-list" : "scan") +
+                 (state.range(1) > 0 ? " limit" : " all"));
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["cells_scanned"] = static_cast<double>(stats.cells_scanned);
+  state.counters["cells"] = static_cast<double>(view.NumCells());
 }
-BENCHMARK(BM_Reversals)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+
+void BM_Surprises(benchmark::State& state) {
+  AnalyticBench(state, "SURPRISES BY dissimilarity MINDELTA 0.05");
+}
+BENCHMARK(BM_Surprises)
+    ->ArgsProduct({{1, 0}, {10, 0}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Reversals(benchmark::State& state) {
+  AnalyticBench(state, "REVERSALS BY dissimilarity MINGAP 0.05");
+}
+BENCHMARK(BM_Reversals)
+    ->ArgsProduct({{1, 0}, {10, 0}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

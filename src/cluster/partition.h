@@ -10,10 +10,11 @@
 // Ghosts participate fully in the shard view's indexes and adjacency —
 // they are the comparison baselines SURPRISES/REVERSALS evaluate owned
 // cells against, and the probe targets ROLLUP/DRILLDOWN anchor on — but
-// the executor never *emits* them, so each shard's row stream is an exact
-// disjoint subsequence of the global stream. That disjointness is what
-// makes per-shard LIMIT pushdown and the router's k-way merge-key
-// stitching byte-identical to a single node.
+// the executor never *emits* them (and the view's findings lists skip
+// them), so each shard's row stream is an exact disjoint subsequence of
+// the global stream. That disjointness is what makes per-shard LIMIT
+// pushdown and the router's k-way merge-key stitching byte-identical to a
+// single node.
 //
 // Assignment is deterministic across processes: a stable FNV-1a over the
 // CA item ids (4 bytes little-endian each), NOT fpm::Itemset::Hash — N

@@ -5,6 +5,7 @@
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "cube/explorer.h"
 
 namespace scube {
 namespace cube {
@@ -55,7 +56,12 @@ CubeView::CubeView(relational::ItemCatalog catalog,
       [this] { BuildSliceGroups(true, &sa_groups_, &sa_labels_); });
   tasks.emplace_back(
       [this] { BuildSliceGroups(false, &ca_groups_, &ca_labels_); });
-  tasks.emplace_back([this, threads] { BuildAdjacency(threads); });
+  // The findings lists evaluate cells through the adjacency, so they
+  // follow it inside the same task.
+  tasks.emplace_back([this, threads] {
+    BuildAdjacency(threads);
+    BuildFindingsLists(threads);
+  });
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     tasks.emplace_back(
         [this, kind, &defined] { BuildRankedOrder(kind, defined); });
@@ -162,6 +168,46 @@ void CubeView::BuildRankedOrder(indexes::IndexKind kind,
     if (va != vb) return va > vb;
     return a < b;  // id order == coordinate order
   });
+}
+
+void CubeView::BuildFindingsLists(size_t num_threads) {
+  // Twelve independent lists: (SURPRISES, REVERSALS) x index kind.
+  const size_t n = 2 * indexes::kNumIndexKinds;
+  auto build = [this](size_t t) {
+    BuildFindingsList(indexes::AllIndexKinds()[t / 2], t % 2 == 1);
+  };
+  if (num_threads <= 1) {
+    for (size_t t = 0; t < n; ++t) build(t);
+  } else {
+    ThreadPool::Shared().ParallelFor(
+        n, num_threads, [&build](size_t /*worker*/, size_t t) { build(t); });
+  }
+}
+
+void CubeView::BuildFindingsList(indexes::IndexKind kind, bool reversals) {
+  const ExplorerOptions defaults;
+  std::vector<std::pair<double, CellId>> keyed;
+  for (CellId id = 0; id < cells_.size(); ++id) {
+    // Ghosts are never candidates: their owning shard reports them.
+    if (cells_[id].ghost) continue;
+    if (reversals) {
+      if (auto r = EvaluateReversal(*this, id, kind, 0.0, defaults)) {
+        keyed.emplace_back(ReversalGap(*r), id);
+      }
+    } else if (auto s = EvaluateSurprise(*this, id, kind, 0.0, defaults)) {
+      keyed.emplace_back(s->delta, id);
+    }
+  }
+  // Key descending, id (= coordinate) ascending on ties: the explorer's
+  // SortSurprises / SortReversals order.
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  std::vector<CellId>& list =
+      (reversals ? reversals_ : surprises_)[static_cast<size_t>(kind)];
+  list.reserve(keyed.size());
+  for (const auto& entry : keyed) list.push_back(entry.second);
 }
 
 CubeView::CellId CubeView::FindId(const CellCoordinates& coords) const {
@@ -279,6 +325,16 @@ std::vector<CubeView::CellId> CubeView::Dice(const fpm::Itemset& sa,
 std::span<const CubeView::CellId> CubeView::RankedByIndex(
     indexes::IndexKind kind) const {
   return ranked_[static_cast<size_t>(kind)];
+}
+
+std::span<const CubeView::CellId> CubeView::SurprisesByIndex(
+    indexes::IndexKind kind) const {
+  return surprises_[static_cast<size_t>(kind)];
+}
+
+std::span<const CubeView::CellId> CubeView::ReversalsByIndex(
+    indexes::IndexKind kind) const {
+  return reversals_[static_cast<size_t>(kind)];
 }
 
 std::string CubeView::LabelOf(const CellCoordinates& coords) const {

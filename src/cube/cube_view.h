@@ -15,6 +15,10 @@
 //     no per-call hashing,
 //   - per-index ranked orders (defined cells by value descending), so
 //     top-k queries walk a precomputed order instead of sorting per call,
+//   - per-index findings lists for SURPRISES and REVERSALS (12 lists of
+//     cell ids, in the explorer's sort order, under the default
+//     ExplorerOptions), so an analytic query with the default filters
+//     walks a prefix of a list instead of evaluating every cell,
 //   - a label cache: ItemCatalog::LabelSet rendered once per distinct SA
 //     and CA itemset, with two label indices per cell, so the answer
 //     serialisers copy a cell's labels instead of rebuilding them per row.
@@ -58,8 +62,9 @@ class CubeView {
   /// `num_threads` parallelises index construction on the shared pool
   /// (1 = sequential, 0 = hardware concurrency); the finished view is
   /// identical for every value — the SA/CA posting builds, slice-group
-  /// builds, per-cell parent probes and the six ranked sorts run as
-  /// independent tasks whose outputs depend only on the sorted cells.
+  /// builds, per-cell parent probes, the six ranked sorts and (once the
+  /// adjacency is built) the twelve findings lists run as independent
+  /// tasks whose outputs depend only on the sorted cells.
   CubeView(relational::ItemCatalog catalog,
            std::vector<std::string> unit_labels,
            std::vector<CubeCell> cells, size_t num_threads = 1);
@@ -158,6 +163,20 @@ class CubeView {
   /// coordinate-ascending on ties — the precomputed top-k order.
   std::span<const CellId> RankedByIndex(indexes::IndexKind kind) const;
 
+  /// Findings lists, built at seal with the explorer's evaluators under
+  /// the default ExplorerOptions. Ghost cells are never entries (they
+  /// still serve as parents and children).
+  ///
+  /// SurprisesByIndex: every cell EvaluateSurprise accepts at MINDELTA 0,
+  /// by delta descending, coordinate-ascending on ties — the SortSurprises
+  /// order. ReversalsByIndex: every cell EvaluateReversal accepts at
+  /// MINGAP 0, by gap descending, coordinate-ascending on ties — the
+  /// SortReversals order. The threshold test is monotone in the key, so
+  /// the findings at any threshold >= 0 are the list's longest prefix
+  /// whose entries pass it.
+  std::span<const CellId> SurprisesByIndex(indexes::IndexKind kind) const;
+  std::span<const CellId> ReversalsByIndex(indexes::IndexKind kind) const;
+
   /// Human-readable cell label: "sex=F & age=young | region=north".
   std::string LabelOf(const CellCoordinates& coords) const;
 
@@ -191,6 +210,8 @@ class CubeView {
   void BuildAdjacency(size_t num_threads);
   void BuildRankedOrder(indexes::IndexKind kind,
                         const std::vector<CellId>& defined);
+  void BuildFindingsLists(size_t num_threads);
+  void BuildFindingsList(indexes::IndexKind kind, bool reversals);
 
   /// One-item-removal parent probe, in the contract order (SA items
   /// ascending, then CA); shared by BuildAdjacency and ParentsOf.
@@ -214,6 +235,8 @@ class CubeView {
   Csr parents_;
   Csr children_;
   std::array<std::vector<CellId>, indexes::kNumIndexKinds> ranked_;
+  std::array<std::vector<CellId>, indexes::kNumIndexKinds> surprises_;
+  std::array<std::vector<CellId>, indexes::kNumIndexKinds> reversals_;
 };
 
 template <typename Visit, typename Tick>

@@ -95,46 +95,56 @@ std::optional<GranularityReversal> EvaluateReversal(
   if (!PassesExplorerFilters(parent, options)) return std::nullopt;
   // CA-children only: same subgroup, context refined by one item. The
   // adjacency list is coordinate-sorted, so the children keep that order.
-  std::vector<const CubeCell*> children;
+  auto usable = [&](const CubeCell& child) {
+    return child.coords.sa == parent.coords.sa &&
+           UsableAsComparison(child, options) &&
+           child.context_size >= options.min_context_size &&
+           child.minority_size >= options.min_minority_size;
+  };
+  size_t count = 0;
+  double min_child = 0.0, max_child = 0.0;
   for (CubeView::CellId child_id : view.Children(id)) {
     const CubeCell& child = view.cell(child_id);
-    if (child.coords.sa == parent.coords.sa &&
-        UsableAsComparison(child, options) &&
-        child.context_size >= options.min_context_size &&
-        child.minority_size >= options.min_minority_size) {
-      children.push_back(&child);
-    }
+    if (!usable(child)) continue;
+    const double v = child.Value(kind);
+    min_child = count == 0 ? v : std::min(min_child, v);
+    max_child = count == 0 ? v : std::max(max_child, v);
+    ++count;
   }
-  if (children.size() < 2) return std::nullopt;
+  if (count < 2) return std::nullopt;
 
-  double parent_value = parent.Value(kind);
-  bool all_above = true, all_below = true;
-  double min_child = 1e300, max_child = -1e300;
-  for (const CubeCell* child : children) {
-    double v = child->Value(kind);
-    min_child = std::min(min_child, v);
-    max_child = std::max(max_child, v);
-    if (v < parent_value + min_gap) all_above = false;
-    if (v > parent_value - min_gap) all_below = false;
+  // The test compares the gap itself — the key SortReversals ranks by —
+  // so a finding's reported gap is never below the MINGAP that admitted
+  // it, and every non-negative MINGAP answer is a prefix of the
+  // gap-sorted findings.
+  const double parent_value = parent.Value(kind);
+  GranularityReversal reversal{&parent, {}, parent_value, 0.0, true};
+  if (min_child - parent_value >= min_gap) {
+    reversal.min_child_value = min_child;
+  } else if (parent_value - max_child >= min_gap) {
+    reversal.min_child_value = max_child;
+    reversal.children_higher = false;
+  } else {
+    return std::nullopt;
   }
-  if (all_above) {
-    return GranularityReversal{&parent, std::move(children), parent_value,
-                               min_child, true};
+  reversal.children.reserve(count);
+  for (CubeView::CellId child_id : view.Children(id)) {
+    const CubeCell& child = view.cell(child_id);
+    if (usable(child)) reversal.children.push_back(&child);
   }
-  if (all_below) {
-    return GranularityReversal{&parent, std::move(children), parent_value,
-                               max_child, false};
-  }
-  return std::nullopt;
+  return reversal;
+}
+
+double ReversalGap(const GranularityReversal& reversal) {
+  return reversal.children_higher
+             ? reversal.min_child_value - reversal.parent_value
+             : reversal.parent_value - reversal.min_child_value;
 }
 
 void SortReversals(std::vector<GranularityReversal>* reversals) {
   std::sort(reversals->begin(), reversals->end(),
             [](const GranularityReversal& a, const GranularityReversal& b) {
-              double ga = a.children_higher ? a.min_child_value - a.parent_value
-                                            : a.parent_value - a.min_child_value;
-              double gb = b.children_higher ? b.min_child_value - b.parent_value
-                                            : b.parent_value - b.min_child_value;
+              const double ga = ReversalGap(a), gb = ReversalGap(b);
               if (ga != gb) return ga > gb;
               return a.parent->coords < b.parent->coords;
             });

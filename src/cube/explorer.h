@@ -4,9 +4,14 @@
 //
 // All queries run against an immutable CubeView: top-k walks the view's
 // precomputed ranked order, surprises and reversals walk its parent/child
-// adjacency lists. The per-cell evaluators are exported so the SCubeQL
-// executor's SURPRISES/REVERSALS walk (one cell pass per query) cannot
-// drift from the explorer's semantics.
+// adjacency lists. DrillDownSurprises and FindGranularityReversals scan
+// every cell per call; they are the reference answers.
+//
+// The per-cell evaluators are exported so no other layer can drift from
+// these semantics. CubeView runs them at seal time, under the default
+// ExplorerOptions, to build its findings lists (CubeView::SurprisesByIndex
+// / ReversalsByIndex). The SCubeQL executor re-runs them on a prefix of a
+// list, or on every cell when the query's filters differ from the defaults.
 
 #ifndef SCUBE_CUBE_EXPLORER_H_
 #define SCUBE_CUBE_EXPLORER_H_
@@ -35,6 +40,8 @@ struct ExplorerOptions {
   /// FindGranularityReversals — so a hand-built cube with a defined
   /// pure-context cell cannot leak one in as a baseline.
   bool require_nonempty_sa = true;
+
+  bool operator==(const ExplorerOptions&) const = default;
 };
 
 /// True iff the cell carries a segregation reading under the filters:
@@ -99,12 +106,19 @@ struct GranularityReversal {
 };
 
 /// Evaluates one cell of the view as a reversal parent: nullopt when it
-/// fails the filters, has fewer than two usable CA-children, or any child
-/// sits within `min_gap` on the parent's side. Children come from the
-/// view's adjacency lists.
+/// fails the filters, has fewer than two usable CA-children, or its gap to
+/// the boundary child is below `min_gap` in both directions. The gap is
+/// min_child - parent (children above: "masked") or parent - max_child
+/// (children below: "inflated"); above wins when both qualify, which only
+/// a non-positive `min_gap` allows. Children come from the view's
+/// adjacency lists.
 std::optional<GranularityReversal> EvaluateReversal(
     const CubeView& view, CubeView::CellId id, indexes::IndexKind kind,
     double min_gap, const ExplorerOptions& options);
+
+/// The reversal's gap to its boundary child — the value EvaluateReversal
+/// compared against `min_gap`, and the sort key.
+double ReversalGap(const GranularityReversal& reversal);
 
 /// Sorts reversals by gap descending (coordinate order on ties) — the
 /// order FindGranularityReversals returns.

@@ -34,6 +34,35 @@ ResultRow MakeRow(const cube::CubeView& view, const cube::CubeCell& cell) {
   return row;
 }
 
+/// One SURPRISES row; the merge key is SortSurprises' (delta desc, coords).
+ResultRow SurpriseRow(const cube::CubeView& view,
+                      const cube::SurpriseFinding& f, bool keys) {
+  ResultRow row = MakeRow(view, *f.cell);
+  row.value = f.value;
+  row.aux = f.delta;
+  row.aux2 = f.best_parent_value;
+  if (keys) {
+    AppendDoubleKey(f.delta, /*descending=*/true, &row.skey);
+    AppendCoordKey(f.cell->coords, &row.skey);
+  }
+  return row;
+}
+
+/// One REVERSALS row; the merge key is SortReversals' (gap desc, coords).
+ResultRow ReversalRow(const cube::CubeView& view,
+                      const cube::GranularityReversal& r, bool keys) {
+  ResultRow row = MakeRow(view, *r.parent);
+  row.value = r.parent_value;
+  row.aux = r.min_child_value;
+  row.aux2 = static_cast<double>(r.children.size());
+  row.tag = r.children_higher ? "masked" : "inflated";
+  if (keys) {
+    AppendDoubleKey(cube::ReversalGap(r), /*descending=*/true, &row.skey);
+    AppendCoordKey(r.parent->coords, &row.skey);
+  }
+  return row;
+}
+
 /// WHERE filter for navigation verbs: only the explicitly given bounds.
 bool PassesWhere(const cube::CubeCell& cell, const Query& q) {
   if (q.min_t && cell.context_size < *q.min_t) return false;
@@ -141,6 +170,7 @@ enum class Mode {
   kTopK,       ///< ranked-order walk
   kRollup,     ///< parent adjacency / probes
   kDrilldown,  ///< child adjacency / probes
+  kFindings,   ///< SURPRISES / REVERSALS: prefix of a seal-time list
   kScan,       ///< SURPRISES / REVERSALS: one pass over the cell array
 };
 
@@ -161,6 +191,8 @@ const char* SpanNameFor(Mode mode) {
       return "walk.rollup";
     case Mode::kDrilldown:
       return "walk.drilldown";
+    case Mode::kFindings:
+      return "walk.findings";
     case Mode::kScan:
       return "walk.analytic";
   }
@@ -380,10 +412,38 @@ Status WalkRows(const cube::CubeView& view, const Prepared& p,
       return Status::OK();
     }
 
+    case Mode::kFindings: {
+      // A prefix walk of the view's seal-time findings list (cube_view.h).
+      // Each entry is re-evaluated at the query's threshold; the list is
+      // sorted by the key the threshold tests, so the first entry that
+      // fails ends the answer. Ghosts are not in the list.
+      const bool surprises = q.verb == Verb::kSurprises;
+      const auto list = surprises ? view.SurprisesByIndex(q.by)
+                                  : view.ReversalsByIndex(q.by);
+      for (cube::CubeView::CellId id : list) {
+        ++*scanned;
+        if (ticker.Tick()) return expired();
+        bool keep;
+        if (surprises) {
+          auto f = cube::EvaluateSurprise(view, id, q.by, q.threshold,
+                                          p.explorer);
+          if (!f) break;
+          keep = feed([&] { return SurpriseRow(view, *f, keys); });
+        } else {
+          auto r = cube::EvaluateReversal(view, id, q.by, q.threshold,
+                                          p.explorer);
+          if (!r) break;
+          keep = feed([&] { return ReversalRow(view, *r, keys); });
+        }
+        if (!keep) break;
+      }
+      return Status::OK();
+    }
+
     case Mode::kScan: {
-      // One pass over the cell array, evaluating every cell through the
-      // view's parent/child adjacency (the explorer's per-cell
-      // evaluators); the row stream is the findings in sorted order.
+      // The fallback (and the findings lists' oracle): one pass over the
+      // cell array, evaluating every cell through the view's parent/child
+      // adjacency; the row stream is the findings in sorted order.
       // Ghost cells (shard replicas of cells owned elsewhere) are never
       // candidates — their owning shard reports them — but they stay in
       // the adjacency, serving as comparison baselines for owned cells.
@@ -407,18 +467,7 @@ Status WalkRows(const cube::CubeView& view, const Prepared& p,
         }
         cube::SortSurprises(&surprises);
         for (const cube::SurpriseFinding& f : surprises) {
-          bool keep = feed([&] {
-            ResultRow row = MakeRow(view, *f.cell);
-            row.value = f.value;
-            row.aux = f.delta;
-            row.aux2 = f.best_parent_value;
-            if (keys) {
-              AppendDoubleKey(f.delta, /*descending=*/true, &row.skey);
-              AppendCoordKey(f.cell->coords, &row.skey);
-            }
-            return row;
-          });
-          if (!keep) break;
+          if (!feed([&] { return SurpriseRow(view, f, keys); })) break;
         }
       } else {
         std::vector<cube::GranularityReversal> reversals;
@@ -430,23 +479,7 @@ Status WalkRows(const cube::CubeView& view, const Prepared& p,
         }
         cube::SortReversals(&reversals);
         for (const cube::GranularityReversal& r : reversals) {
-          bool keep = feed([&] {
-            ResultRow row = MakeRow(view, *r.parent);
-            row.value = r.parent_value;
-            row.aux = r.min_child_value;
-            row.aux2 = static_cast<double>(r.children.size());
-            row.tag = r.children_higher ? "masked" : "inflated";
-            if (keys) {
-              // SortReversals ranks by the parent/boundary-child gap.
-              const double gap = r.children_higher
-                                     ? r.min_child_value - r.parent_value
-                                     : r.parent_value - r.min_child_value;
-              AppendDoubleKey(gap, /*descending=*/true, &row.skey);
-              AppendCoordKey(r.parent->coords, &row.skey);
-            }
-            return row;
-          });
-          if (!keep) break;
+          if (!feed([&] { return ReversalRow(view, r, keys); })) break;
         }
       }
       return Status::OK();
@@ -517,7 +550,8 @@ Status EmitPrepared(const cube::CubeView& view, const Prepared& p,
 
 }  // namespace
 
-Executor::Executor(const cube::CubeView& view) : view_(view) {
+Executor::Executor(const cube::CubeView& view, ExecutorOptions options)
+    : view_(view), options_(options) {
   const relational::ItemCatalog& catalog = view.catalog();
   item_by_key_.reserve(catalog.size());
   for (size_t i = 0; i < catalog.size(); ++i) {
@@ -561,8 +595,18 @@ Result<fpm::Itemset> Executor::ResolveItems(
 
 namespace {
 
+/// Whether an analytic query's answer is a prefix of the view's findings
+/// list: the lists hold the findings at threshold 0 under the default
+/// filters. A negative threshold admits cells they never recorded (for
+/// REVERSALS, parents whose children straddle them).
+bool AnswersFromFindingsList(const Query& q,
+                             const cube::ExplorerOptions& explorer) {
+  return explorer == cube::ExplorerOptions{} && q.threshold >= 0.0;
+}
+
 /// Resolves one query's coordinates and classifies its index path.
-Result<Prepared> PrepareQuery(const Executor& executor, const Query& query) {
+Result<Prepared> PrepareQuery(const Executor& executor, const Query& query,
+                              bool findings_lists) {
   Prepared p;
   p.query = &query;
   auto sa = executor.ResolveItems(query.sa,
@@ -575,6 +619,10 @@ Result<Prepared> PrepareQuery(const Executor& executor, const Query& query) {
   p.ca = std::move(ca).value();
   p.explorer = ExplorerOptionsFor(query);
   p.mode = ClassifyQuery(query);
+  if (p.mode == Mode::kScan && findings_lists &&
+      AnswersFromFindingsList(query, p.explorer)) {
+    p.mode = Mode::kFindings;
+  }
   return p;
 }
 
@@ -587,7 +635,8 @@ Status Executor::ExecuteToSink(const Query& query, const QueryContext& ctx,
   *stats = StreamStats{};
 
   trace::Span resolve_span(ctx.trace, "resolve");
-  Result<Prepared> p = PrepareQuery(*this, query);
+  Result<Prepared> p =
+      PrepareQuery(*this, query, options_.use_findings_lists);
   resolve_span.End();
   if (!p.ok()) return p.status();
   if (ctx.Expired()) {

@@ -12,12 +12,20 @@
 //   DRILLDOWN parent/child adjacency lists (coordinate probes when the
 //             addressed cell is absent from the cube),
 //   SURPRISES /
-//   REVERSALS one pass over the dense cell array per query, evaluating
-//             each cell via the adjacency lists (the explorer's per-cell
-//             evaluators).
+//   REVERSALS a prefix walk of the view's seal-time findings list for the
+//             verb and index (CubeView::SurprisesByIndex /
+//             ReversalsByIndex), when the query's filters are the
+//             explorer defaults (no WHERE, or WHERE bounds equal to
+//             T >= 30 AND M >= 5) and its threshold is >= 0. Each
+//             entry is re-evaluated at the query's threshold and the walk
+//             stops at the first entry that fails, so a page costs
+//             O(offset + limit) evaluations. Any other WHERE bound, or a
+//             negative threshold, falls back to one pass over the dense cell
+//             array that evaluates every cell via the adjacency lists.
+//             Both paths use the explorer's per-cell evaluators and
+//             produce the same row stream.
 //
-// Only the analytic verbs scan the full cube, and each analytic query
-// makes its own cell pass.
+// Only the analytic fallback scans the full cube.
 
 #ifndef SCUBE_QUERY_EXECUTOR_H_
 #define SCUBE_QUERY_EXECUTOR_H_
@@ -69,13 +77,21 @@ struct StreamStats {
 /// last under index keys) or sharded output drifts from single-node.
 void SortRows(const OrderBy& order, std::vector<ResultRow>* rows);
 
+/// \brief Executor knobs.
+struct ExecutorOptions {
+  /// Answer default-filter SURPRISES / REVERSALS from the view's findings
+  /// lists. false forces the per-query scan for every analytic query:
+  /// the lists' oracle in tests and benches.
+  bool use_findings_lists = true;
+};
+
 /// \brief Executes queries against one sealed cube snapshot.
 ///
 /// Construction indexes the catalog (attribute/value -> item id); the
 /// executor itself is immutable and safe to share across threads.
 class Executor {
  public:
-  explicit Executor(const cube::CubeView& view);
+  explicit Executor(const cube::CubeView& view, ExecutorOptions options = {});
 
   /// Executes one query, pushing rows into `sink` as the index walks
   /// produce them (O(1) result memory for unordered verbs). The page is
@@ -87,10 +103,11 @@ class Executor {
   /// the cursor token). When the returned status is not OK and
   /// stats->begun is false, the sink was never touched.
   ///
-  /// LIMIT/deadline pushdown: ranked walks, slice walks and posting-list
-  /// intersections stop as soon as the page is full, the sink declines a
-  /// row, or the context deadline expires (checked every few thousand
-  /// candidates, not just at statement boundaries).
+  /// LIMIT/deadline pushdown: ranked walks, slice walks, findings-list
+  /// walks and posting-list intersections stop as soon as the page is
+  /// full, the sink declines a row, or the context deadline expires
+  /// (checked every few thousand candidates, not just at statement
+  /// boundaries).
   Status ExecuteToSink(const Query& query, const QueryContext& ctx,
                        RowSink& sink, StreamStats* stats = nullptr) const;
 
@@ -103,6 +120,7 @@ class Executor {
 
  private:
   const cube::CubeView& view_;
+  ExecutorOptions options_;
   std::unordered_map<std::string, fpm::ItemId> item_by_key_;  // attr \x1F value
   std::unordered_map<std::string, relational::AttributeKind> kind_by_attr_;
 };

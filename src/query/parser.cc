@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -357,6 +358,12 @@ class Parser {
     double v = std::strtod(tok.text.c_str(), &end);
     if (end != tok.text.c_str() + tok.text.size() || tok.text.empty()) {
       return Error(tok, std::string("expected a number for ") + what +
+                            ", got '" + tok.text + "'");
+    }
+    // strtod also takes "nan", "inf" and overflows to inf ("1e999"); a
+    // threshold must be a finite number for its comparisons to hold.
+    if (!std::isfinite(v)) {
+      return Error(tok, std::string("expected a finite number for ") + what +
                             ", got '" + tok.text + "'");
     }
     return v;

@@ -18,6 +18,9 @@
 //   index      := dissimilarity | gini | information | isolation
 //              | interaction | atkinson
 //
+// MINDELTA / MINGAP take any finite number (strtod syntax); "nan", "inf"
+// and overflowing literals are rejected.
+//
 // Errors carry the column of the offending token, e.g.
 //   ParseError: col 18: expected '=' after attribute 'region', got '&'
 

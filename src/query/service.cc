@@ -341,8 +341,7 @@ QueryService::PublishInfo QueryService::PublishAndWarm(
   // with no deadline: it cannot be shed by the very overload it exists to
   // soften. Each text goes through the live miss path's cache rule into a
   // discarding sink, so an answer the live path would not cache (over
-  // cache_max_rows) is not warmed either. Each analytic text makes its own
-  // cell pass.
+  // cache_max_rows) is not warmed either.
   trace::Span warm_span(&tc, "warm");
   for (const std::string& text : hottest) {
     auto parsed = Parse(text);

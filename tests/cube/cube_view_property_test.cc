@@ -237,19 +237,17 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
       }
       if (children.size() < 2) continue;
       double pv = parent->Value(kind);
-      bool all_above = true, all_below = true;
       double min_child = 1e300, max_child = -1e300;
       for (const CubeCell* child : children) {
         double v = child->Value(kind);
         min_child = std::min(min_child, v);
         max_child = std::max(max_child, v);
-        if (v < pv + 0.1) all_above = false;
-        if (v > pv - 0.1) all_below = false;
       }
-      if (all_above) {
+      // The gap to the boundary child is what MINGAP bounds.
+      if (min_child - pv >= 0.1) {
         naive_reversals.push_back(
             GranularityReversal{parent, children, pv, min_child, true});
-      } else if (all_below) {
+      } else if (pv - max_child >= 0.1) {
         naive_reversals.push_back(
             GranularityReversal{parent, children, pv, max_child, false});
       }
@@ -267,6 +265,29 @@ TEST_P(CubeViewPropertyTest, ViewAgreesWithNaiveCube) {
       EXPECT_EQ(reversals[i].children_higher,
                 naive_reversals[i].children_higher);
     }
+
+    // Findings lists: the default-filter findings at threshold 0, in the
+    // explorer's order.
+    const ExplorerOptions defaults;
+    std::vector<const CubeCell*> listed, expected;
+    for (CubeView::CellId id : view.SurprisesByIndex(kind)) {
+      listed.push_back(&view.cell(id));
+    }
+    for (const SurpriseFinding& f :
+         DrillDownSurprises(view, kind, 0.0, defaults)) {
+      expected.push_back(f.cell);
+    }
+    ExpectSameCells(expected, listed, "surprises list");
+    listed.clear();
+    expected.clear();
+    for (CubeView::CellId id : view.ReversalsByIndex(kind)) {
+      listed.push_back(&view.cell(id));
+    }
+    for (const GranularityReversal& r :
+         FindGranularityReversals(view, kind, 0.0, defaults)) {
+      expected.push_back(r.parent);
+    }
+    ExpectSameCells(expected, listed, "reversals list");
   }
 }
 

@@ -178,6 +178,86 @@ TEST(ExplorerTest, PureContextCellsNeverServeAsSurpriseBaselines) {
   EXPECT_NEAR(surprises[0].delta, 0.4, 1e-9);
 }
 
+// Hand-built parent (sex=F | *) with two region children, all passing the
+// default filters; dissimilarity values as given.
+CubeView ReversalBoundaryView(double parent, double north, double south) {
+  auto make_cell = [](std::vector<fpm::ItemId> ca, double d) {
+    CubeCell cell;
+    cell.coords = CellCoordinates{fpm::Itemset({0}),
+                                  fpm::Itemset(std::move(ca))};
+    cell.context_size = 100;
+    cell.minority_size = 40;
+    cell.num_units = 2;
+    cell.indexes.defined = true;
+    cell.indexes.values[static_cast<size_t>(
+        indexes::IndexKind::kDissimilarity)] = d;
+    return cell;
+  };
+  SegregationCube cube;
+  cube.Insert(make_cell({}, parent));
+  cube.Insert(make_cell({1}, north));
+  cube.Insert(make_cell({2}, south));
+  return std::move(cube).Seal();
+}
+
+TEST(ExplorerTest, ReversalThresholdComparesTheReportedGap) {
+  // 0.575 - 0.255 = 0.31999999999999995 in doubles, while 0.255 + 0.32
+  // rounds to 0.575. Testing `child >= parent + gap` admitted this parent
+  // at MINGAP 0.32 and then reported a gap below 0.32; the test compares
+  // the gap itself, as the sort key does.
+  CubeView view = ReversalBoundaryView(0.255, 0.575, 0.575);
+  const auto kind = indexes::IndexKind::kDissimilarity;
+  const double gap = 0.575 - 0.255;
+  ASSERT_LT(gap, 0.32);
+  EXPECT_TRUE(FindGranularityReversals(view, kind, 0.32).empty());
+
+  auto at_gap = FindGranularityReversals(view, kind, gap);
+  ASSERT_EQ(at_gap.size(), 1u);
+  EXPECT_TRUE(at_gap[0].children_higher);
+  EXPECT_EQ(ReversalGap(at_gap[0]), gap);
+  EXPECT_EQ(at_gap[0].children.size(), 2u);
+
+  // Children below the parent: the gap is parent - max_child.
+  CubeView inflated = ReversalBoundaryView(0.575, 0.255, 0.2);
+  EXPECT_TRUE(FindGranularityReversals(inflated, kind, 0.32).empty());
+  auto below = FindGranularityReversals(inflated, kind, gap);
+  ASSERT_EQ(below.size(), 1u);
+  EXPECT_FALSE(below[0].children_higher);
+  EXPECT_EQ(below[0].min_child_value, 0.255);  // the boundary child
+  EXPECT_EQ(ReversalGap(below[0]), 0.575 - 0.255);
+}
+
+TEST(ExplorerTest, NonPositiveGapPrefersChildrenAbove) {
+  // Every child equals the parent: both gaps are 0, and "above" wins.
+  CubeView flat = ReversalBoundaryView(0.4, 0.4, 0.4);
+  const auto kind = indexes::IndexKind::kDissimilarity;
+  auto at_zero = FindGranularityReversals(flat, kind, 0.0);
+  ASSERT_EQ(at_zero.size(), 1u);
+  EXPECT_TRUE(at_zero[0].children_higher);
+  EXPECT_EQ(ReversalGap(at_zero[0]), 0.0);
+  // A negative MINGAP admits straddling children too, still as "above".
+  CubeView straddle = ReversalBoundaryView(0.4, 0.3, 0.5);
+  EXPECT_TRUE(FindGranularityReversals(straddle, kind, 0.0).empty());
+  auto negative = FindGranularityReversals(straddle, kind, -0.2);
+  ASSERT_EQ(negative.size(), 1u);
+  EXPECT_TRUE(negative[0].children_higher);
+}
+
+TEST(ExplorerTest, FindingsListsHoldTheDefaultFindingsInSortOrder) {
+  CubeView view = ReversalBoundaryView(0.255, 0.575, 0.575);
+  const auto kind = indexes::IndexKind::kDissimilarity;
+  // The parent is the one reversal at MINGAP 0.
+  auto reversals = view.ReversalsByIndex(kind);
+  ASSERT_EQ(reversals.size(), 1u);
+  EXPECT_EQ(view.cell(reversals[0]).coords.ca, fpm::Itemset());
+  // Both children are surprises (delta 0.32 each, tied: coordinate order);
+  // the parent has no parent cell and is not one.
+  auto surprises = view.SurprisesByIndex(kind);
+  ASSERT_EQ(surprises.size(), 2u);
+  EXPECT_EQ(view.cell(surprises[0]).coords.ca, fpm::Itemset({1}));
+  EXPECT_EQ(view.cell(surprises[1]).coords.ca, fpm::Itemset({2}));
+}
+
 TEST(ExplorerTest, TopKTruncates) {
   CubeView cube = BuildFixture();
   auto top1 = TopSegregatedContexts(cube, indexes::IndexKind::kDissimilarity,

@@ -1,7 +1,7 @@
 // Parallel-build determinism: BuildSegregationCube and Seal() must produce
 // bit-identical output for every num_threads setting — same cells and
 // values, same posting lists, slice groups, adjacency rows and ranked
-// orders as the sequential (num_threads = 1) reference.
+// orders and findings lists as the sequential (num_threads = 1) reference.
 
 #include <gtest/gtest.h>
 
@@ -108,6 +108,10 @@ void ExpectViewsIdentical(const CubeView& a, const CubeView& b) {
   for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
     EXPECT_EQ(ToVec(a.RankedByIndex(kind)), ToVec(b.RankedByIndex(kind)))
         << "ranked order " << indexes::IndexKindToString(kind);
+    EXPECT_EQ(ToVec(a.SurprisesByIndex(kind)), ToVec(b.SurprisesByIndex(kind)))
+        << "surprises list " << indexes::IndexKindToString(kind);
+    EXPECT_EQ(ToVec(a.ReversalsByIndex(kind)), ToVec(b.ReversalsByIndex(kind)))
+        << "reversals list " << indexes::IndexKindToString(kind);
   }
 
   EXPECT_EQ(a.ToCsv(), b.ToCsv());
@@ -147,6 +151,32 @@ TEST(ParallelBuildTest, ParallelSealMatchesSequential) {
   // 0 = hardware concurrency, still identical.
   CubeView hw = built->Seal(0);
   ExpectViewsIdentical(sequential, hw);
+}
+
+TEST(ParallelBuildTest, ParallelSealFindingsListsMatchSequential) {
+  // The twelve findings-list tasks run after the adjacency, nested on the
+  // shared pool; under TSan this is their race check.
+  Table table = RandomTable(/*seed=*/41, /*rows=*/800, /*num_units=*/12);
+  CubeBuilderOptions options = Options(1);
+  options.min_support = 1;
+  auto built = BuildSegregationCube(table, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  CubeView sequential = built->Seal(1);
+  CubeView parallel = built->Seal(4);
+  size_t surprises = 0, reversals = 0;
+  for (indexes::IndexKind kind : indexes::AllIndexKinds()) {
+    EXPECT_EQ(ToVec(sequential.SurprisesByIndex(kind)),
+              ToVec(parallel.SurprisesByIndex(kind)))
+        << indexes::IndexKindToString(kind);
+    EXPECT_EQ(ToVec(sequential.ReversalsByIndex(kind)),
+              ToVec(parallel.ReversalsByIndex(kind)))
+        << indexes::IndexKindToString(kind);
+    surprises += sequential.SurprisesByIndex(kind).size();
+    reversals += sequential.ReversalsByIndex(kind).size();
+  }
+  // Non-empty lists, or the comparison above proves nothing.
+  EXPECT_GT(surprises, 0u);
+  EXPECT_GT(reversals, 0u);
 }
 
 TEST(ParallelBuildTest, ParallelBuildPlusSealEndToEnd) {

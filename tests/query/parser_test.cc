@@ -68,6 +68,17 @@ TEST(ParserTest, ExplorerVerbsWithThresholds) {
   EXPECT_DOUBLE_EQ(r.threshold, 0.4);
   // BY defaults to dissimilarity.
   EXPECT_EQ(r.by, indexes::IndexKind::kDissimilarity);
+
+  // Negative and underflowing thresholds are finite, so they parse.
+  EXPECT_DOUBLE_EQ(MustParse("REVERSALS MINGAP -0.05").threshold, -0.05);
+  EXPECT_DOUBLE_EQ(MustParse("SURPRISES MINDELTA 1e-999").threshold, 0.0);
+}
+
+TEST(ParserTest, NonFiniteThresholdErrorPointsAtTheNumber) {
+  auto q = Parse("REVERSALS MINGAP nan LIMIT 3");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().message(),
+            "col 18: expected a finite number for mingap, got 'nan'");
 }
 
 TEST(ParserTest, RollupAndDrilldownCoordsOptional) {
@@ -188,6 +199,16 @@ TEST(ParserTest, ErrorsCarryColumnAndContext) {
       {"TOPK 5 BY gini FROM italy@", "expected an integer for FROM version"},
       {"TOPK 5 BY gini FROM italy@v2", "expected an integer for FROM version"},
       {"TOPK 5 BY gini FROM italy@0", "versions start at 1"},
+      {"SURPRISES MINDELTA", "expected a number for mindelta"},
+      {"SURPRISES MINDELTA 0.1x", "expected a number for mindelta"},
+      {"SURPRISES MINDELTA nan", "expected a finite number for mindelta"},
+      {"SURPRISES MINDELTA -inf", "expected a finite number for mindelta"},
+      {"REVERSALS MINGAP nan LIMIT 3", "expected a finite number for mingap"},
+      {"REVERSALS MINGAP NAN", "expected a finite number for mingap"},
+      {"REVERSALS MINGAP inf", "expected a finite number for mingap"},
+      {"REVERSALS MINGAP infinity", "expected a finite number for mingap"},
+      {"REVERSALS MINGAP 1e999", "expected a finite number for mingap"},
+      {"REVERSALS MINGAP -1e999", "expected a finite number for mingap"},
   };
   for (const ErrorCase& c : cases) {
     auto q = Parse(c.text);

@@ -264,6 +264,36 @@ TEST(ScubedTest, DebugTraceAttachesSpanTreeToBufferedEnvelope) {
   EXPECT_EQ(traced->body.find("]}\"trace\""), std::string::npos);
 }
 
+TEST(ScubedTest, DebugTraceNamesTheAnalyticWalk) {
+  Fixture fx;
+  // Default filters: the answer is a prefix of the seal-time findings list.
+  auto listed = fx.Call("POST", "/query?debug=trace", "SURPRISES");
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  EXPECT_EQ(listed->status, 200);
+  // cells_scanned counts the list entries evaluated: both surprises, and
+  // not the parent cell, which has no parent of its own.
+  EXPECT_NE(listed->body.find("\"cells_scanned\":2"), std::string::npos)
+      << listed->body;
+  EXPECT_NE(listed->body.find("\"name\":\"walk.findings\""),
+            std::string::npos)
+      << listed->body;
+  EXPECT_EQ(listed->body.find("\"name\":\"walk.analytic\""),
+            std::string::npos);
+
+  // A non-default WHERE bound falls back to the per-query cell scan.
+  auto scanned =
+      fx.Call("POST", "/query?debug=trace", "SURPRISES WHERE T >= 100");
+  ASSERT_TRUE(scanned.ok()) << scanned.status();
+  EXPECT_EQ(scanned->status, 200);
+  EXPECT_NE(scanned->body.find("\"cells_scanned\":3"), std::string::npos)
+      << scanned->body;
+  EXPECT_NE(scanned->body.find("\"name\":\"walk.analytic\""),
+            std::string::npos)
+      << scanned->body;
+  EXPECT_EQ(scanned->body.find("\"name\":\"walk.findings\""),
+            std::string::npos);
+}
+
 TEST(ScubedTest, DebugTraceAttachesSpanTreeToStreamedTail) {
   Fixture fx;
   auto resp = fx.Call("POST", "/query?stream=1&debug=trace",
